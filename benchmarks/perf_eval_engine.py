@@ -1,9 +1,9 @@
 """Perf harness for the multi-target evaluation engine.
 
-Times the three ways of evaluating one recommender for many targets of a
-room — the per-target reference engine, the batched/cached engine, and
-the forked-parallel batched engine — asserts that all produce identical
-metrics, and writes the measurements to ``BENCH_eval_engine.json``.
+Times the ways of evaluating one recommender for many targets of a room
+— the per-target reference engine and the batched/cached engine, cold
+and with warm caches — asserts that all produce identical metrics, and
+writes the measurements to ``BENCH_eval_engine.json``.
 
 Run directly::
 
@@ -15,7 +15,9 @@ or as a benchmark test::
 
 Scaled to N = 128 users, T = 50 steps, 16 targets by default (the
 engine's acceptance scenario); ``REPRO_PERF_TINY=1`` shrinks it to a
-seconds-long CI smoke run that skips the speedup floor.
+seconds-long CI smoke run that skips the speedup floor and writes its
+record under the run directory, so it never overwrites the committed
+full-scale record at the repo root.
 
 Alongside the timings the harness records an *instrumented* pass with
 the full observability stack enabled and writes ``trace.json`` — a
@@ -40,7 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import buffers
 from repro.bench.experiments import room_config_for
 from repro.bench import BenchConfig
 from repro.core.evaluation import evaluate_targets
@@ -53,17 +54,25 @@ __all__ = ["EngineBenchConfig", "run_eval_engine_bench", "main"]
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval_engine.json"
 
 
-def default_trace_path() -> Path:
-    """Where the Perfetto trace lands: the bench run directory.
-
-    With ``REPRO_RUN_DIR`` set the trace sits next to the run's other
-    artifacts (manifests, checkpoints); otherwise it falls back to the
-    repo's gitignored ``runs/`` directory — never the repo root.
-    """
+def default_run_dir() -> Path:
+    """Where bench artifacts land: ``REPRO_RUN_DIR`` when set, else the
+    repo's gitignored ``runs/`` directory — never the repo root."""
     run_dir = os.environ.get("REPRO_RUN_DIR")
     if run_dir:
-        return Path(run_dir) / "trace.json"
-    return Path(__file__).resolve().parent.parent / "runs" / "trace.json"
+        return Path(run_dir)
+    return Path(__file__).resolve().parent.parent / "runs"
+
+
+def default_trace_path() -> Path:
+    """Where the Perfetto trace lands: the bench run directory."""
+    return default_run_dir() / "trace.json"
+
+
+def result_path(config: "EngineBenchConfig") -> Path:
+    """The committed record at full scale; the run directory's copy for
+    a tiny run, which must never overwrite the committed one."""
+    return default_run_dir() / RESULT_PATH.name if config.is_tiny \
+        else RESULT_PATH
 
 #: Acceptance floor: the batched engine must beat the reference engine
 #: by at least this factor at the default scale.
@@ -79,7 +88,6 @@ class EngineBenchConfig:
     num_targets: int = 16
     max_render: int = 8
     repeats: int = 5
-    parallel_workers: int = 2
     dataset: str = "smm"
     seed: int = 0
 
@@ -110,7 +118,7 @@ def _episode_fingerprint(result) -> list:
 
 
 def _time_engine(config: EngineBenchConfig, targets, *, engine: str,
-                 workers: int | None = None, warm: bool = False):
+                 warm: bool = False):
     """Best-of-``repeats`` wall time plus the run's aggregate result.
 
     Every repeat starts from a freshly generated room (cold caches)
@@ -128,47 +136,9 @@ def _time_engine(config: EngineBenchConfig, targets, *, engine: str,
         start = time.perf_counter()
         result = evaluate_targets(room, recommender, targets,
                                   max_render=config.max_render,
-                                  engine=engine, workers=workers)
+                                  engine=engine)
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def _measure_parallel_ipc(config: EngineBenchConfig, targets,
-                          kind: str) -> dict | None:
-    """One instrumented fork-parallel pass on buffer backend ``kind``.
-
-    Measures what actually crosses the worker pipe: on the heap backend
-    every episode's result arrays are pickled back; on the shm backend
-    workers write them into pre-allocated shared slabs and the pipe
-    carries scalars only.  Returns ``None`` where fork is unavailable.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    with buffers.use_backend(kind):
-        room = _fresh_room(config)
-        PERF.reset().enable()
-        start = time.perf_counter()
-        result = evaluate_targets(room, NearestRecommender(), targets,
-                                  max_render=config.max_render,
-                                  engine="batched",
-                                  workers=config.parallel_workers)
-        elapsed = time.perf_counter() - start
-        counters = PERF.report()["counters"]
-        PERF.disable()
-        fingerprint = _episode_fingerprint(result)
-    chunks = counters.get("eval.parallel_chunks", 0)
-    total = counters.get("eval.ipc_bytes", 0)
-    return {
-        "backend": kind,
-        "wall_s": elapsed,
-        "ipc_bytes_total": int(total),
-        "ipc_bytes_per_chunk": float(total) / max(chunks, 1),
-        "chunks": int(chunks),
-        "shm_slabs": int(counters.get("eval.shm_slabs", 0)),
-        "fingerprint": fingerprint,
-    }
 
 
 def run_eval_engine_bench(config: EngineBenchConfig | None = None,
@@ -203,32 +173,10 @@ def run_eval_engine_bench(config: EngineBenchConfig | None = None,
 
     warm_s, warm = _time_engine(config, targets, engine="batched",
                                 warm=True)
-    parallel_s, parallel = _time_engine(config, targets, engine="batched",
-                                        workers=config.parallel_workers)
 
     fingerprint = _episode_fingerprint(reference)
     identical = all(_episode_fingerprint(r) == fingerprint
-                    for r in (batched, warm, parallel))
-
-    # Before/after IPC comparison for the fork-parallel path: the same
-    # workload with results pickled through the pipe (heap) vs written
-    # into shared-memory slabs (shm).  Both must reproduce the serial
-    # reference bit-for-bit.
-    ipc = None
-    heap_ipc = _measure_parallel_ipc(config, targets, "heap")
-    shm_ipc = _measure_parallel_ipc(config, targets, "shm")
-    if heap_ipc is not None and shm_ipc is not None:
-        identical = identical \
-            and heap_ipc.pop("fingerprint") == fingerprint \
-            and shm_ipc.pop("fingerprint") == fingerprint
-        ipc = {
-            "workers": config.parallel_workers,
-            "heap": heap_ipc,
-            "shm": shm_ipc,
-            "bytes_reduction_factor":
-                heap_ipc["ipc_bytes_total"]
-                / max(shm_ipc["ipc_bytes_total"], 1),
-        }
+                    for r in (batched, warm))
 
     return {
         "config": asdict(config),
@@ -236,7 +184,6 @@ def run_eval_engine_bench(config: EngineBenchConfig | None = None,
             "reference_serial": reference_s,
             "batched": batched_s,
             "batched_warm_caches": warm_s,
-            f"batched_parallel_w{config.parallel_workers}": parallel_s,
         },
         "speedup": {
             "batched_vs_reference": reference_s / batched_s,
@@ -244,7 +191,6 @@ def run_eval_engine_bench(config: EngineBenchConfig | None = None,
         },
         "metrics_identical": bool(identical),
         "instrumentation": instrumentation,
-        "ipc": ipc,
     }
 
 
@@ -253,7 +199,8 @@ def main() -> dict:
     trace_path = default_trace_path()
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     record = run_eval_engine_bench(config, trace_path=trace_path)
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    path = result_path(config)
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
     timings = record["timings_s"]
     speedup = record["speedup"]["batched_vs_reference"]
@@ -265,15 +212,7 @@ def main() -> dict:
     print(f"  speedup (batched warm)       "
           f"{record['speedup']['warm_vs_reference']:9.2f}x")
     print(f"  metrics identical: {record['metrics_identical']}")
-    if record["ipc"] is not None:
-        ipc = record["ipc"]
-        print(f"  IPC bytes/chunk (heap)       "
-              f"{ipc['heap']['ipc_bytes_per_chunk']:9.0f}")
-        print(f"  IPC bytes/chunk (shm)        "
-              f"{ipc['shm']['ipc_bytes_per_chunk']:9.0f}")
-        print(f"  IPC reduction                "
-              f"{ipc['bytes_reduction_factor']:9.1f}x")
-    print(f"wrote {RESULT_PATH}")
+    print(f"wrote {path}")
     print(f"wrote {trace_path} (open at ui.perfetto.dev)")
 
     if not record["metrics_identical"]:

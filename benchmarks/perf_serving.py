@@ -18,7 +18,9 @@ Timing covers the steady state a live deployment cares about — sessions
 are opened before the clock starts, then every tick submits one position
 frame per room and pumps — so rooms/sec means sustained streaming
 throughput, not session setup.  ``REPRO_PERF_TINY=1`` shrinks the run to
-a seconds-long CI smoke that skips the speedup floor.
+a seconds-long CI smoke that skips the speedup floor and writes its
+record under the run directory, so it never overwrites the committed
+full-scale record at the repo root.
 
 Besides the timings the harness records:
 
@@ -145,6 +147,13 @@ def default_telemetry_path() -> Path:
     return default_run_dir() / "telemetry_serving.json"
 
 
+def result_path(config: "ServingBenchConfig") -> Path:
+    """The committed record at full scale; the run directory's copy for
+    a tiny run, which must never overwrite the committed one."""
+    return default_run_dir() / RESULT_PATH.name if config.is_tiny \
+        else RESULT_PATH
+
+
 @dataclass(frozen=True)
 class ServingBenchConfig:
     """Scale knobs for the serving-engine benchmark."""
@@ -153,7 +162,6 @@ class ServingBenchConfig:
     num_users: int = 200
     num_steps: int = 4
     repeats: int = 3
-    parallel_workers: int = 2
     overload_pump_interval: int = 3
     dataset: str = "smm"
     seed: int = 0
@@ -212,8 +220,7 @@ def _serial_stream(workload, config: ServingBenchConfig) -> tuple:
     return elapsed, [session.result() for session in sessions]
 
 
-def _engine_stream(workload, config: ServingBenchConfig,
-                   workers: int | None = None) -> tuple:
+def _engine_stream(workload, config: ServingBenchConfig) -> tuple:
     """Steady-state engine run: submit one tick per room, pump, repeat.
 
     Returns the elapsed seconds, per-room results and the per-step
@@ -221,7 +228,7 @@ def _engine_stream(workload, config: ServingBenchConfig,
     """
     with SessionEngine(max_batch=config.num_rooms,
                        max_queue=config.num_rooms * config.ticks,
-                       workers=workers, events=EventLog()) as engine:
+                       events=EventLog()) as engine:
         driver = ReplayDriver(engine)
         sessions = [driver.add_room(room, target, NearestRecommender(),
                                     session_id=f"room-{index:03d}")
@@ -576,8 +583,7 @@ def run_serving_bench(config: ServingBenchConfig | None = None,
 
     serial_s = np.inf
     engine_s = np.inf
-    parallel_s = np.inf
-    serial_results = engine_results = parallel_results = None
+    serial_results = engine_results = None
     latencies: list = []
     for _ in range(config.repeats):
         elapsed, serial_results = _serial_stream(workload, config)
@@ -586,13 +592,9 @@ def run_serving_bench(config: ServingBenchConfig | None = None,
                                                                 config)
         if elapsed < engine_s:
             engine_s, latencies = elapsed, run_latencies
-        elapsed, parallel_results, _ = _engine_stream(
-            workload, config, workers=config.parallel_workers)
-        parallel_s = min(parallel_s, elapsed)
 
     fingerprint = _episode_fingerprint(serial_results)
-    identical = all(_episode_fingerprint(results) == fingerprint
-                    for results in (engine_results, parallel_results))
+    identical = _episode_fingerprint(engine_results) == fingerprint
 
     # Separate untimed pass for the instrumentation breakdown and the
     # trace, so the timed runs pay no collection overhead.
@@ -621,7 +623,6 @@ def run_serving_bench(config: ServingBenchConfig | None = None,
         "timings_s": {
             "serial_stream": serial_s,
             "engine_stream": engine_s,
-            f"engine_parallel_w{config.parallel_workers}": parallel_s,
         },
         "throughput": {
             "serial_rooms_per_s": config.num_rooms / serial_s,
@@ -656,7 +657,8 @@ def main() -> dict:
     record = run_serving_bench(config, trace_path=trace_path,
                                telemetry_path=telemetry_path,
                                incident_root=run_dir / "incidents")
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    path = result_path(config)
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
     speedup = record["speedup"]["engine_vs_serial"]
     print(f"session serving @ {config.num_rooms} rooms x "
@@ -700,7 +702,7 @@ def main() -> dict:
               f"{row['latency_p99_s'] * 1000.0:.1f} ms, "
               f"slo_ok={row['slo']['ok']} ({row['stack']})")
     print(f"  metrics identical: {record['metrics_identical']}")
-    print(f"wrote {RESULT_PATH}")
+    print(f"wrote {path}")
     print(f"wrote {trace_path} (open at ui.perfetto.dev)")
     print(f"wrote {telemetry_path} (python -m repro.obs top/slo)")
 

@@ -33,7 +33,8 @@ Timings are best-of-``repeats`` full training runs from a fresh model
 region and still has to win).  Throughput is reported as room-steps/sec
 — one room advancing one timestep — the unit that is invariant across
 the serial/batched split.  ``REPRO_PERF_TINY=1`` shrinks the workload
-to a seconds-long CI smoke that skips the speedup floor.
+to a seconds-long CI smoke that skips the speedup floor and writes its
+record under the run directory only, never over the committed one.
 
 Artifacts land under ``REPRO_RUN_DIR`` (falling back to the repo's
 gitignored ``runs/`` directory); the committed record is
@@ -105,6 +106,13 @@ def default_run_dir() -> Path:
     if run_dir:
         return Path(run_dir)
     return Path(__file__).resolve().parent.parent / "runs"
+
+
+def result_path(config: TrainingBenchConfig) -> Path:
+    """The committed record at full scale; the run directory's copy for
+    a tiny run, which must never overwrite the committed one."""
+    return default_run_dir() / RESULT_PATH.name if config.is_tiny \
+        else RESULT_PATH
 
 
 def _problems(config: TrainingBenchConfig) -> list:
@@ -254,8 +262,9 @@ def main() -> dict:
     print(f"  replay: {stats['records']} records, {stats['replays']} "
           f"replays, {stats['fused_chains']} fused chains, "
           f"{stats['instructions']}/{stats['recorded_nodes']} instructions")
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    path = result_path(config)
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {path}")
     return record
 
 

@@ -26,7 +26,6 @@ Subpackages
 ``repro.models``    POSHGNN and the seven paper baselines
 ``repro.training``  fault-tolerant training runtime (checkpoints, guards)
 ``repro.obs``       observability: spans, histograms, run events
-``repro.runtime``   deprecated compat shim re-exporting ``repro.obs``
 ``repro.study``     simulated XR user study (Fig. 4, Table VIII)
 ``repro.bench``     experiment drivers for every paper table and figure
 """

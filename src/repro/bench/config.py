@@ -48,7 +48,6 @@ class BenchConfig:
     max_render: int = 8
     seed: int = 0
     eval_engine: str = "batched"  # "batched" | "reference"
-    eval_workers: int = 0         # > 1 forks evaluation workers
     run_dir: str | None = None    # training checkpoints + run manifests
     extra: dict = field(default_factory=dict)
 
@@ -62,8 +61,7 @@ class BenchConfig:
             config = cls()
         overrides = {}
         for name in ("num_users", "num_steps", "train_targets",
-                     "eval_targets", "train_epochs", "seed",
-                     "eval_workers"):
+                     "eval_targets", "train_epochs", "seed"):
             env_name = f"REPRO_BENCH_{name.upper()}"
             if os.environ.get(env_name):
                 overrides[name] = _env_int(env_name, getattr(config, name))

@@ -101,7 +101,6 @@ def _fit_and_evaluate(room, methods: dict, train_targets, eval_targets,
                                    max_render=config.max_render)
                       for t in train_targets]
     alpha = resolve_alpha(train_problems, "auto", alpha0=alpha0)
-    workers = config.eval_workers if config.eval_workers > 1 else None
     results = {}
     for name, method in methods.items():
         fit_kwargs = {"epochs": config.train_epochs, "alpha": alpha}
@@ -161,8 +160,7 @@ def _fit_and_evaluate(room, methods: dict, train_targets, eval_targets,
             results[name] = evaluate_targets(room, method, eval_targets,
                                              beta=config.beta,
                                              max_render=config.max_render,
-                                             engine=config.eval_engine,
-                                             workers=workers)
+                                             engine=config.eval_engine)
     return results
 
 

@@ -15,30 +15,18 @@ Two engines produce identical metrics:
   passes, and resolves visibility once per step on the present-user
   subset.  Every array it produces is bit-identical to the reference
   path; ``tests/core/test_engine_determinism.py`` asserts it.
-
-``evaluate_targets`` can additionally fan episodes out over forked
-worker processes (``workers=``); chunks are split deterministically and
-merged back in target order, so the aggregate is identical to a serial
-run.  On a shared :mod:`repro.buffers` backend the workers write their
-episode arrays into pre-allocated shared-memory slabs the parent maps
-directly — the pool pipe then carries only scalars and handles, and the
-per-chunk pickling cost is recorded either way through the
-``eval.ipc_bytes`` counter and ``eval.chunk_ipc_bytes`` histogram.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import buffers
 from ..geometry import occlusion_rate, resolve_episode_visibility, \
     resolve_visibility
-from ..obs import DEFAULT_COUNT_BOUNDARIES, DEFAULT_VALUE_BOUNDARIES, \
-    PERF, TRACER
+from ..obs import DEFAULT_VALUE_BOUNDARIES, PERF
 from .problem import AfterProblem
 from .recommender import Recommender
 from .utility import StepUtility, UtilityAccumulator, step_utility
@@ -143,8 +131,8 @@ def evaluate_episode(problem: AfterProblem,
     accumulator = UtilityAccumulator(problem.beta)
     occlusion_rates: list[float] = []
     runtimes: list[float] = []
-    recommendations = buffers.zeros(
-        (problem.horizon + 1, problem.num_users), np.bool_)
+    recommendations = np.zeros(
+        (problem.horizon + 1, problem.num_users), dtype=bool)
     visible_previous = np.zeros(problem.num_users, dtype=bool)
 
     with PERF.scope("eval.episode", {"target": int(problem.target),
@@ -202,8 +190,8 @@ def _evaluate_episode_fast(problem: AfterProblem,
     recommender.reset(problem)
     accumulator = UtilityAccumulator(problem.beta)
     runtimes: list[float] = []
-    recommendations = buffers.zeros(
-        (problem.horizon + 1, problem.num_users), np.bool_)
+    recommendations = np.zeros(
+        (problem.horizon + 1, problem.num_users), dtype=bool)
     visible_previous = np.zeros(problem.num_users, dtype=bool)
 
     with PERF.scope("eval.episode", {"target": int(problem.target),
@@ -257,138 +245,10 @@ def _evaluate_episode_fast(problem: AfterProblem,
 
 _ENGINES = ("batched", "reference")
 
-#: Inherited by forked evaluation workers (copy-on-write), so neither
-#: the room (with its prebuilt caches) nor the recommender is pickled.
-_PARALLEL_PAYLOAD = None
-
-
-def _evaluate_target(room, recommender: Recommender, target: int,
-                     beta: float, max_render: int,
-                     engine: str) -> EpisodeResult:
-    problem = AfterProblem(room, target, beta=beta, max_render=max_render)
-    if engine == "batched":
-        return _evaluate_episode_fast(problem, recommender)
-    return evaluate_episode(problem, recommender)
-
-
-def _parallel_worker(chunk) -> tuple:
-    """Evaluate one chunk in a forked worker.
-
-    The worker inherits the parent's PERF registry and tracer through
-    copy-on-write; both are reset on entry so the returned instrumentation
-    state and spans cover exactly this chunk's episodes, ready to be
-    merged back into the parent (they would otherwise die with the
-    fork).  Span timestamps stay on the parent timeline: the tracer
-    epoch is inherited and ``perf_counter`` is system-wide monotonic.
-
-    When the payload carries shared-memory result slabs, the episode
-    arrays are written straight into the inherited mappings (each chunk
-    owns a disjoint slot range, so writers never overlap) and stripped
-    from the pickled return value; the pipe then ships scalars only.
-    The bytes actually pickled per chunk are counted into
-    ``eval.ipc_bytes`` whichever path runs.
-    """
-    room, recommender, beta, max_render, engine, slabs = _PARALLEL_PAYLOAD
-    start_slot, targets = chunk
-    PERF.reset()
-    TRACER.spans.clear()
-    episodes = [_evaluate_target(room, recommender, int(target), beta,
-                                 max_render, engine) for target in targets]
-    if slabs is not None:
-        recommendations_slab, after_slab = slabs
-        light = []
-        for slot, episode in enumerate(episodes, start=start_slot):
-            recommendations_slab[slot] = episode.recommendations
-            after_slab[slot] = episode.per_step_after
-            light.append(replace(episode, per_step_after=None,
-                                 recommendations=None))
-        episodes = light
-    if PERF.enabled:
-        nbytes = len(pickle.dumps(episodes, pickle.HIGHEST_PROTOCOL))
-        PERF.count("eval.ipc_bytes", nbytes)
-        PERF.observe("eval.chunk_ipc_bytes", float(nbytes),
-                     boundaries=DEFAULT_COUNT_BOUNDARIES)
-    return episodes, PERF.export_state(), TRACER.drain()
-
-
-def _evaluate_parallel(room, recommender: Recommender, targets: list,
-                       beta: float, max_render: int, engine: str,
-                       workers: int):
-    """Fan targets out over forked workers; None if fork is unavailable.
-
-    Targets are split into contiguous chunks (``np.array_split`` in the
-    caller's order) and results are concatenated chunk by chunk, so the
-    episode list — and therefore the aggregate — matches a serial run
-    exactly.  Forking inherits the room caches and the recommender via
-    copy-on-write instead of pickling them.
-
-    Each worker ships its PERF state and trace spans back alongside its
-    episodes; they are merged into the parent registry in chunk order,
-    so the merged timer/counter totals are deterministic and equal the
-    counts of a serial run.
-
-    On a shared buffer backend (``REPRO_BUFFER_BACKEND=shm``) the
-    parent pre-allocates one recommendations slab and one per-step-
-    utility slab covering every target; forked workers inherit the
-    mappings and write their rows in place, so the result arrays cross
-    process boundaries without being pickled.  The parent's episode
-    objects then *view* the slabs (freed by GC when the results die).
-    If slab allocation is impossible — heap backend, degraded shm —
-    the classic pickle-the-results path runs instead.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    workers = min(workers, len(targets))
-    split = [chunk.tolist() for chunk
-             in np.array_split(np.asarray(targets, dtype=np.int64), workers)
-             if chunk.size]
-    chunks = []
-    start = 0
-    for chunk in split:
-        chunks.append((start, chunk))
-        start += len(chunk)
-
-    slabs = None
-    backend = buffers.active()
-    if backend.shared:
-        steps = room.horizon + 1
-        recommendations_slab = backend.try_shared_empty(
-            (len(targets), steps, room.num_users), np.bool_)
-        after_slab = backend.try_shared_empty((len(targets), steps),
-                                              np.float64)
-        if recommendations_slab is not None and after_slab is not None:
-            slabs = (recommendations_slab, after_slab)
-            PERF.count("eval.shm_slabs")
-
-    global _PARALLEL_PAYLOAD
-    context = multiprocessing.get_context("fork")
-    _PARALLEL_PAYLOAD = (room, recommender, beta, max_render, engine, slabs)
-    try:
-        with context.Pool(processes=len(chunks)) as pool:
-            per_chunk = pool.map(_parallel_worker, chunks)
-    finally:
-        _PARALLEL_PAYLOAD = None
-    episodes = []
-    for chunk_episodes, perf_state, spans in per_chunk:
-        episodes.extend(chunk_episodes)
-        PERF.merge_snapshot(perf_state)
-        TRACER.adopt(spans)
-    if slabs is not None:
-        recommendations_slab, after_slab = slabs
-        episodes = [replace(episode,
-                            per_step_after=after_slab[slot],
-                            recommendations=recommendations_slab[slot])
-                    for slot, episode in enumerate(episodes)]
-    PERF.count("eval.parallel_chunks", len(per_chunk))
-    return episodes
-
 
 def evaluate_targets(room, recommender: Recommender, targets,
                      beta: float = 0.5, max_render: int = 8, *,
-                     engine: str = "batched",
-                     workers: int | None = None) -> AggregateResult:
+                     engine: str = "batched") -> AggregateResult:
     """Evaluate one recommender for several target users of a room.
 
     Parameters
@@ -398,38 +258,23 @@ def evaluate_targets(room, recommender: Recommender, targets,
         caches and resolves visibility once per step; ``"reference"``
         evaluates every target from scratch.  Both produce identical
         metrics.
-    workers:
-        When > 1, evaluate episodes in that many forked worker
-        processes.  The merge is deterministic (chunked in target
-        order) and repeated runs with the same worker count are
-        identical; results also equal the serial run for recommenders
-        whose episodes are independent (Nearest, POSHGNN, ...).
-        Recommenders drawing from a sequential RNG across episodes
-        (Random, COMURNet) see a per-worker draw order instead of the
-        serial one.  Falls back to serial where ``fork`` is
-        unavailable.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected {_ENGINES}")
     targets = [int(target) for target in np.asarray(targets).ravel()]
     if not targets:
-        # An online caller's room can drain to zero targets; both the
-        # serial and fork-parallel paths used to crash here (ValueError
-        # from the aggregation, np.array_split on zero sections).
+        # An online caller's room can drain to zero targets: report NaN
+        # metrics instead of failing the aggregation.
         return AggregateResult.empty()
+    evaluate = _evaluate_episode_fast if engine == "batched" \
+        else evaluate_episode
     with PERF.scope("eval.targets", {"engine": engine,
-                                     "num_targets": len(targets),
-                                     "workers": workers or 1}):
+                                     "num_targets": len(targets)}):
         if engine == "batched":
             with PERF.scope("eval.prebuild_dogs"):
                 room.prebuild_dogs(targets)
-
-        episodes = None
-        if workers is not None and workers > 1 and len(targets) > 1:
-            episodes = _evaluate_parallel(room, recommender, targets, beta,
-                                          max_render, engine, workers)
-        if episodes is None:
-            episodes = [_evaluate_target(room, recommender, target, beta,
-                                         max_render, engine)
-                        for target in targets]
+        episodes = [evaluate(AfterProblem(room, target, beta=beta,
+                                          max_render=max_render),
+                             recommender)
+                    for target in targets]
     return AggregateResult.from_episodes(episodes)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import buffers
 from ..geometry import StaticOcclusionGraph, forced_presence_mask, \
     physically_blocked_mask
 from ..geometry.batched import stacked_rooms_field
@@ -182,11 +181,6 @@ def build_episode_frames(target: int, graphs: list,
     arrays, so per-frame mutation (e.g. block/allow-list pruning) stays
     frame-local; the ``forced`` mask and ``interfaces_mr`` are constant
     over the episode and shared across frames.
-
-    The episode slabs are allocated through the active
-    :mod:`repro.buffers` backend: on the shared-memory backend a room's
-    cached frames live in mappable segments, so fork-parallel workers
-    read them as genuinely shared pages rather than copy-on-write heap.
     """
     interfaces_mr = np.asarray(interfaces_mr, dtype=bool)
     forced = forced_presence_mask(interfaces_mr, target)
@@ -208,22 +202,22 @@ def build_episode_frames(target: int, graphs: list,
         blocked[:, forced_idx] = False
         blocked[:, target] = False
     else:
-        blocked = buffers.zeros((steps, count), np.bool_)
+        blocked = np.zeros((steps, count), dtype=bool)
 
-    mask = buffers.empty((steps, count))
+    mask = np.empty((steps, count))
     mask.fill(1.0)
     mask[:, target] = 0.0
     mask[blocked] = 0.0
 
-    raw_preference = buffers.empty((steps, count))
-    raw_presence = buffers.empty((steps, count))
+    raw_preference = np.empty((steps, count))
+    raw_presence = np.empty((steps, count))
     raw_preference[:] = np.asarray(preference_row, dtype=np.float64)[None, :]
     raw_presence[:] = np.asarray(presence_row, dtype=np.float64)[None, :]
     raw_preference[:, target] = 0.0
     raw_presence[:, target] = 0.0
 
-    preference = buffers.empty((steps, count))
-    presence = buffers.empty((steps, count))
+    preference = np.empty((steps, count))
+    presence = np.empty((steps, count))
     preference[:] = raw_preference
     presence[:] = raw_presence
     preference[blocked] = 0.0
@@ -233,9 +227,9 @@ def build_episode_frames(target: int, graphs: list,
     scale = np.maximum(distances.max(axis=1), 1e-9)[:, None]
     damping = 1.0 + (distances / scale) ** 2
     preference_hat = np.divide(preference, damping,
-                               out=buffers.empty((steps, count)))
+                               out=np.empty((steps, count)))
     presence_hat = np.divide(presence, damping,
-                             out=buffers.empty((steps, count)))
+                             out=np.empty((steps, count)))
 
     return [
         Frame(
@@ -297,7 +291,7 @@ def build_room_frames(ts, targets, graphs, preference_rows,
     # contiguous and therefore far cheaper to gather.  Padded slots
     # carry valid=False and drop out of the disjunction, exactly as
     # absent columns do in the scalar gather.
-    blocked = buffers.zeros(distances.shape, np.bool_)
+    blocked = np.zeros(distances.shape, dtype=bool)
     has_forced = np.nonzero(forced.any(axis=1))[0]
     if has_forced.size:
         sub_forced = forced[has_forced]
@@ -313,13 +307,13 @@ def build_room_frames(ts, targets, graphs, preference_rows,
     blocked[forced] = False
     blocked[rows, targets] = False
 
-    mask = buffers.empty((rooms, distances.shape[1]))
+    mask = np.empty((rooms, distances.shape[1]))
     mask.fill(1.0)
     mask[rows, targets] = 0.0
     mask[blocked] = 0.0
 
-    raw_preference = buffers.empty((rooms, distances.shape[1]))
-    raw_presence = buffers.empty((rooms, distances.shape[1]))
+    raw_preference = np.empty((rooms, distances.shape[1]))
+    raw_presence = np.empty((rooms, distances.shape[1]))
     raw_preference[:] = np.array(preference_rows, dtype=np.float64)
     raw_presence[:] = np.array(presence_rows, dtype=np.float64)
     raw_preference[rows, targets] = 0.0

@@ -35,7 +35,6 @@ import math
 
 import numpy as np
 
-from .. import buffers
 from ..obs import PERF
 from .arcs import angular_separation
 from .dog import DynamicOcclusionGraph
@@ -113,28 +112,12 @@ class RoomGraphs(list):
     kernels (frame assembly, visibility resolution) can reuse them
     instead of re-stacking ``B`` views into a fresh copy.  It behaves
     exactly like the plain list it degrades to.
-
-    The batch arrays are allocated through the active
-    :mod:`repro.buffers` backend, so on the shared-memory backend a
-    whole micro-batch is mappable by another process from the handles
-    :meth:`buffer_refs` returns, without pickling a byte of array data.
     """
 
     def __init__(self, graphs, adjacency: np.ndarray, distances: np.ndarray):
         super().__init__(graphs)
         self.adjacency = adjacency    # (B, N, N) bool
         self.distances = distances    # (B, N) float64
-
-    def buffer_refs(self) -> dict:
-        """Portable buffer handles for the batch arrays.
-
-        Zero-copy ``(segment, offset)`` handles when the arrays live in
-        backend memory (shm), by-value handles otherwise (heap) — see
-        :meth:`repro.buffers.BufferBackend.export`.
-        """
-        backend = buffers.active()
-        return {"adjacency": backend.export(self.adjacency),
-                "distances": backend.export(self.distances)}
 
 
 def stacked_rooms_field(graphs, attr: str) -> np.ndarray:
@@ -216,7 +199,7 @@ class BatchedOcclusionConverter:
         num_targets, count = centers.shape
         slots = np.arange(num_targets)
 
-        adjacency = buffers.empty((num_targets, count, count), np.bool_)
+        adjacency = np.empty((num_targets, count, count), dtype=bool)
         chunk = max(1, _KERNEL_WORKSPACE_ELEMENTS // max(1, count * count))
         for start in range(0, num_targets, chunk):
             stop = min(start + chunk, num_targets)
@@ -327,7 +310,7 @@ class BatchedOcclusionConverter:
 
         with PERF.scope("geom.convert_rooms"):
             deltas = positions - positions[rows, targets][:, None, :]
-            distances = buffers.empty((rooms, count))
+            distances = np.empty((rooms, count))
             np.hypot(deltas[..., 0], deltas[..., 1], out=distances)
             centers = np.arctan2(deltas[..., 1], deltas[..., 0])
             centers[rows, targets] = 0.0
@@ -340,7 +323,7 @@ class BatchedOcclusionConverter:
                                    np.arcsin(np.clip(ratio, 0.0, 1.0)))
             half_widths[rows, targets] = 0.0
 
-            adjacency = buffers.empty((rooms, count, count), np.bool_)
+            adjacency = np.empty((rooms, count, count), dtype=bool)
             chunk = max(1, _KERNEL_WORKSPACE_ELEMENTS
                         // max(1, count * count))
             for start in range(0, rooms, chunk):

@@ -79,6 +79,13 @@ class GraFrankRecommender(Recommender):
         facet_tensors = [Tensor(f) for f in facets]
 
         edges = np.argwhere(np.triu(graph.adjacency, 1))
+        # An anchor befriending everyone has no negative to draw, and
+        # resampling for one would never end: drop its edges.  Only then
+        # does the edge list change, so other rooms draw the same numbers.
+        has_stranger = ~(graph.adjacency | np.eye(count, dtype=bool)).all(
+            axis=1)
+        if not has_stranger[edges[:, 0]].all():
+            edges = edges[has_stranger[edges[:, 0]]]
         history: list[float] = []
         if edges.shape[0] > 0:
             for _ in range(self.epochs):

@@ -29,7 +29,7 @@ layers used by the training stack:
 
 Grad mode and the active tape are **thread-local**: a ``no_grad`` block on
 one thread no longer disables graph construction for concurrent forwards
-on other threads (e.g. ``SessionEngine``'s thread pool).
+on other threads.
 """
 
 from __future__ import annotations

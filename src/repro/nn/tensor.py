@@ -47,8 +47,8 @@ class no_grad:
 
     Mirrors ``torch.no_grad()``: operations executed inside the block
     produce constant tensors, which keeps inference cheap.  The flag is
-    thread-local, so concurrent forwards on other threads (e.g. a serving
-    thread pool) keep building graphs normally.
+    thread-local, so concurrent forwards on other threads keep building
+    graphs normally.
     """
 
     def __enter__(self):

@@ -5,10 +5,10 @@ docs/OBSERVABILITY.md):
 
 * :data:`PERF` / :class:`Instrumentation` — flat wall-clock timers,
   event counters and fixed-boundary :class:`Histogram` metrics with
-  p50/p90/p99 estimates, mergeable across forked workers
+  p50/p90/p99 estimates, mergeable across processes
   (:meth:`Instrumentation.merge_snapshot`).
 * :data:`TRACER` / :class:`Tracer` — hierarchical, thread- and
-  fork-aware spans exportable to Chrome/Perfetto ``trace_event`` JSON
+  process-aware spans exportable to Chrome/Perfetto ``trace_event`` JSON
   (:func:`write_chrome_trace`) and text call trees
   (:func:`span_tree_report`).
 * :data:`EVENTS` / :class:`EventLog` — schema-versioned JSONL run
@@ -26,8 +26,6 @@ docs/OBSERVABILITY.md):
 Everything is disabled by default and near-free when disabled, so the
 instrumentation stays permanently wired into the evaluation engine, the
 POSHGNN trainer, the geometry cache layers and the bench drivers.
-``repro.runtime`` remains as a compatibility shim re-exporting
-:data:`PERF`.
 """
 
 from .events import EVENT_SCHEMA_VERSION, EVENTS, EventLog, read_events

@@ -1,9 +1,8 @@
 """Timers, counters and histogram metrics for the hot paths.
 
-This module subsumes the original ``repro.runtime.instrumentation``
-registry (which now re-exports it): the evaluation engine, the POSHGNN
-trainer and the bench drivers all report where their wall-clock goes
-through one shared :class:`Instrumentation` registry::
+The evaluation engine, the POSHGNN trainer and the bench drivers all
+report where their wall-clock goes through one shared
+:class:`Instrumentation` registry::
 
     from repro.obs import PERF
 
@@ -397,7 +396,7 @@ class Instrumentation:
                 "counters": dict(sorted(counters.items()))}
 
     # ------------------------------------------------------------------
-    # Cross-process merging (fork-parallel evaluation workers)
+    # Cross-process merging (the serving fleet's shard workers)
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
         """Lossless, picklable state for :meth:`merge_snapshot`."""
@@ -414,8 +413,8 @@ class Instrumentation:
         """Fold an :meth:`export_state` payload into this registry.
 
         Merging is exact — counts and totals add, mins/maxes fold — and
-        deterministic when applied in a fixed order (the fork-parallel
-        evaluator merges chunks in target order).  Applies regardless of
+        deterministic when applied in a fixed order (the fleet folds
+        shards in index order).  Applies regardless of
         :attr:`enabled`, since the caller explicitly asked for it.
 
         ``prefix`` namespaces every merged timer/counter/histogram name

@@ -3,8 +3,8 @@
 A :class:`Tracer` records **spans** — named, nested wall-clock intervals
 with optional attributes (episode id, target, epoch, ...).  Nesting is
 tracked per thread through a thread-local depth counter, and every span
-remembers the process and thread that produced it, so traces survive
-``fork``-parallel evaluation workers and multi-threaded callers.
+remembers the process and thread that produced it, so traces from
+multi-threaded callers stay on separate tracks.
 
 Tracing is **disabled by default** and near-free when disabled: the
 fast path is one attribute check returning a shared no-op context
@@ -15,11 +15,6 @@ manager, with no allocation.  Enable it around a region of interest::
     TRACER.enable()
     ...workload...
     TRACER.export_chrome_trace("trace.json")   # open in ui.perfetto.dev
-
-Spans use :func:`time.perf_counter`, which on Linux is a system-wide
-monotonic clock, so spans recorded in forked children (drained with
-:meth:`Tracer.drain` and re-attached with :meth:`Tracer.adopt`) line up
-on the parent's timeline.
 """
 
 from __future__ import annotations
@@ -63,26 +58,6 @@ class SpanRecord:
     tid: int
     depth: int                   # nesting depth within its thread (0 = root)
     attrs: dict | None = field(default=None)
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view (used to ship spans across fork pipes)."""
-        return {
-            "name": self.name,
-            "ts_us": self.ts_us,
-            "dur_us": self.dur_us,
-            "pid": self.pid,
-            "tid": self.tid,
-            "depth": self.depth,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SpanRecord":
-        """Inverse of :meth:`as_dict`."""
-        return cls(name=payload["name"], ts_us=payload["ts_us"],
-                   dur_us=payload["dur_us"], pid=payload["pid"],
-                   tid=payload["tid"], depth=payload["depth"],
-                   attrs=payload.get("attrs"))
 
 
 class _SpanScope:
@@ -187,20 +162,6 @@ class Tracer:
             self.dropped += 1
             return
         self.spans.append(span)
-
-    # ------------------------------------------------------------------
-    # Fork plumbing: ship spans from forked workers back to the parent.
-    # ------------------------------------------------------------------
-    def drain(self) -> list:
-        """Pop all recorded spans as plain dicts (picklable)."""
-        spans = [span.as_dict() for span in self.spans]
-        self.spans.clear()
-        return spans
-
-    def adopt(self, spans: list) -> None:
-        """Re-attach spans drained in another process (pids preserved)."""
-        for payload in spans:
-            self._record(SpanRecord.from_dict(payload))
 
     # ------------------------------------------------------------------
     def export_chrome_trace(self, path) -> str:

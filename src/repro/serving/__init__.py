@@ -12,7 +12,7 @@ counterpart (see docs/SERVING.md):
 * :class:`SessionEngine` — many concurrent rooms, cross-room
   micro-batched geometry
   (:meth:`~repro.geometry.batched.BatchedOcclusionConverter.convert_rooms`),
-  a bounded worker pool, deterministic admission control that sheds
+  deterministic admission control that sheds
   or degrades steps under overload, and queue-ordered roster mutation
   (:meth:`~repro.serving.engine.SessionEngine.churn_session`,
   ``merge_sessions``, ``split_session``).
@@ -21,8 +21,7 @@ counterpart (see docs/SERVING.md):
   executes declarative :class:`~repro.serving.workload.WorkloadPlan`
   schedules (:meth:`~repro.serving.replay.ReplayDriver.run_plan`).
 * :class:`Fleet` — a consistent-hash router over N worker processes,
-  each running its own engine, with zero-copy frame transport
-  (:class:`~repro.buffers.FrameShuttle`), per-shard admission control,
+  each running its own engine, with per-shard admission control,
   shard-tagged obs merging, live session migration
   (:meth:`~repro.serving.fleet.Fleet.migrate`) and cross-shard room
   merge/split.

@@ -7,9 +7,8 @@ submitted frames per session and, on each :meth:`pump`, collects up to
 stays monotone), groups them by ``(num_users, body_radius)`` and builds
 every group's occlusion graphs in **one** call to
 :meth:`~repro.geometry.batched.BatchedOcclusionConverter.convert_rooms`.
-The per-room tail (frame assembly, recommender forward, visibility,
-utility) then runs serially or on a bounded worker pool — sessions are
-independent, so the tail parallelises without locks.
+Frame assembly and visibility are batched per group the same way;
+only the recommender forward runs per room.
 
 Admission control is *deterministic*: shed and degrade decisions depend
 only on the queue depth at :meth:`submit` time — pure arithmetic over
@@ -21,20 +20,17 @@ session's cheap greedy-MWIS fallback instead of the primary
 recommender.  Both paths are observable: ``serving.*`` timers,
 histograms and counters through :data:`repro.obs.PERF` and
 ``session.open`` / ``session.shed`` / ``session.degrade`` /
-``session.close`` events through :data:`repro.obs.EVENTS` (all emitted
-on the pump thread only, keeping the obs layer single-threaded).
+``session.close`` events through :data:`repro.obs.EVENTS`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import buffers
 from ..core.problem import AfterProblem
 from ..core.recommender import Recommender
 from ..core.scene import build_room_frames
@@ -105,16 +101,12 @@ class SessionEngine:
         Soft watermark (``None`` disables): a submit finding at least
         this many pending steps is admitted but served by the session's
         fallback recommender.
-    workers:
-        Thread-pool size for the per-session tail work; ``None`` or
-        ``<= 1`` keeps the tail serial on the pump thread.
     events:
         Event sink (default the global :data:`~repro.obs.EVENTS`).
     """
 
     def __init__(self, *, max_batch: int = 32, max_queue: int = 256,
-                 degrade_at: int | None = None, workers: int | None = None,
-                 events=None):
+                 degrade_at: int | None = None, events=None):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if max_queue < 1:
@@ -131,10 +123,6 @@ class SessionEngine:
         self._converters: dict[float, BatchedOcclusionConverter] = {}
         self._queued = 0          # pending steps across all sessions
         self._cursor = 0          # round-robin start for _collect_batch
-        self._pool = None
-        if workers is not None and workers > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="serving-tail")
 
     # ------------------------------------------------------------------
     @property
@@ -264,17 +252,13 @@ class SessionEngine:
                          pending=len(self._queues[session.session_id]))
         return session
 
-    def close(self) -> None:
-        """Shut down the worker pool (queued steps stay pending)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
+    # An engine holds no OS resources; the context-manager protocol
+    # only mirrors Fleet's, so drivers can scope either one with ``with``.
     def __enter__(self) -> "SessionEngine":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        pass
 
     # ------------------------------------------------------------------
     def submit(self, session_id: str, positions: np.ndarray) -> StepTicket:
@@ -490,9 +474,9 @@ class SessionEngine:
         Geometry, frame assembly and visibility run once per *group*
         (rooms sharing ``(num_users, body_radius)``) through the batched
         cross-room kernels; only the recommender forward — the one
-        genuinely per-room piece — runs per session, optionally on the
-        worker pool.  Every kernel is bit-identical to its scalar
-        counterpart, so the whole batch equals stepping each room alone.
+        genuinely per-room piece — runs per session.  Every kernel is
+        bit-identical to its scalar counterpart, so the whole batch
+        equals stepping each room alone.
         """
         groups: dict[tuple, list[int]] = {}
         for index, (session, pending) in enumerate(batch):
@@ -515,7 +499,7 @@ class SessionEngine:
         with PERF.scope("serving.geometry"):
             for (count, body_radius), indices in groups.items():
                 first = np.asarray(batch[indices[0]][1].positions)
-                stacked = buffers.empty(
+                stacked = np.empty(
                     (len(indices),) + first.shape, first.dtype)
                 np.stack([batch[i][1].positions for i in indices],
                          out=stacked)
@@ -548,16 +532,10 @@ class SessionEngine:
                         problem._apply_lists(frame)
                     frames[slot] = frame
 
-        def forward(index: int) -> tuple:
-            session, pending = batch[index]
-            return session.recommend_step(frames[index],
-                                          degraded=pending.degraded)
-
         with PERF.scope("serving.recommend"):
-            if self._pool is None:
-                outputs = [forward(i) for i in range(len(batch))]
-            else:
-                outputs = list(self._pool.map(forward, range(len(batch))))
+            outputs = [session.recommend_step(frame,
+                                              degraded=pending.degraded)
+                       for (session, pending), frame in zip(batch, frames)]
 
         records: list = [None] * len(batch)
         with PERF.scope("serving.visibility"):

@@ -12,11 +12,9 @@ cross-process merge ``repro.obs`` already provides — once as aggregate
 totals, once shard-tagged (``shard0/serving.pump``) so skew stays
 visible.
 
-Frames ride the :class:`~repro.buffers.FrameShuttle`: on the
-shared-memory buffer backend a session's positions are rewritten into
-one reusable shm block and only the tiny
-:class:`~repro.buffers.BufferRef` crosses the pipe; the heap backend
-pickles frames by value.
+Frames are pickled by value through the pipe: an ``(N, 2)`` float64
+position frame is 3.2 KB at N = 200, so there is nothing for a
+zero-copy transport to save.
 
 **Live migration** moves a room between shards without losing a step:
 :meth:`Fleet.migrate` suspends the session on its source shard — the
@@ -45,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..buffers import FrameShuttle
 from ..core.problem import AfterProblem
 from ..core.recommender import Recommender
 from ..obs import EVENTS, PERF
@@ -146,7 +143,7 @@ class Fleet:
     ----------
     num_shards:
         Worker process count (each one core's worth of serving).
-    max_batch, workers:
+    max_batch:
         Passed through to every shard's :class:`SessionEngine`.
     max_queue, degrade_at:
         **Fleet-wide** admission budgets, divided evenly across shards
@@ -167,8 +164,7 @@ class Fleet:
 
     def __init__(self, num_shards: int, *, max_batch: int = 32,
                  max_queue: int = 256, degrade_at: int | None = None,
-                 workers: int | None = None, replicas: int = 64,
-                 events=None, recorder=None):
+                 replicas: int = 64, events=None, recorder=None):
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -182,14 +178,12 @@ class Fleet:
                                                      / num_shards)))
         engine_kwargs = {"max_batch": max_batch,
                          "max_queue": per_shard_queue,
-                         "degrade_at": per_shard_degrade,
-                         "workers": workers}
+                         "degrade_at": per_shard_degrade}
         self.num_shards = num_shards
         self.events = events if events is not None else EVENTS
         self.recorder = recorder
         self._ring = HashRing(num_shards, replicas)
         self._sessions: dict[str, int] = {}      # session id -> shard
-        self._shuttle = FrameShuttle()
         self._closed = False
         context = multiprocessing.get_context("fork")
         self._shards: list[_Shard] = []
@@ -297,18 +291,15 @@ class Fleet:
         shard's own engine against its share of the fleet budget.
         """
         shard = self._sessions[session_id]
-        frame = self._shuttle.put(
-            session_id, np.asarray(positions, dtype=np.float64))
-        return self._call(shard, "submit", session_id, frame)
+        return self._call(shard, "submit", session_id,
+                          np.asarray(positions, dtype=np.float64))
 
     def submit_many(self, items) -> list[StepTicket]:
         """Submit ``(session_id, positions)`` pairs, pipelined per shard.
 
         Sends every frame before reading any reply, so one tick's worth
         of submits costs one pipe round-trip per shard instead of one
-        per room.  Per-key shuttle reuse stays safe: a session appears
-        at most once per tick, and replies are gathered before the next
-        tick's puts.
+        per room.
         """
         tickets: list[StepTicket] = []
         items = list(items)
@@ -319,9 +310,8 @@ class Fleet:
             order: list[int] = []
             for session_id, positions in items[start:start + chunk]:
                 shard = self._sessions[session_id]
-                frame = self._shuttle.put(
-                    session_id, np.asarray(positions, dtype=np.float64))
-                self._send(shard, "submit", session_id, frame)
+                self._send(shard, "submit", session_id,
+                           np.asarray(positions, dtype=np.float64))
                 order.append(shard)
             tickets.extend(self._recv(shard) for shard in order)
         return tickets
@@ -362,7 +352,6 @@ class Fleet:
         shard = self._sessions[session_id]
         result = self._call(shard, "close_session", session_id)
         del self._sessions[session_id]
-        self._shuttle.drop(session_id)
         self.events.emit("fleet.close", session_id=session_id, shard=shard)
         return result
 
@@ -375,12 +364,10 @@ class Fleet:
 
         Forwards the self-contained :class:`RosterChange` to the owning
         shard's engine; frames already queued there still run at their
-        pre-churn shape.  The session's shuttle block is dropped (the
-        frame width changed) and re-staged lazily on the next submit.
+        pre-churn shape.
         """
         shard = self._sessions[session_id]
         self._call(shard, "churn", session_id, change)
-        self._shuttle.drop(session_id)
         self.events.emit("fleet.churn", session_id=session_id,
                          shard=shard, churn=change.kind,
                          num_users=change.problem.num_users)
@@ -405,11 +392,9 @@ class Fleet:
                 f"session {secondary_id!r} still has queued steps; "
                 f"drain() before merging")
         del self._sessions[secondary_id]
-        self._shuttle.drop(secondary_id)
         ghost = RoomSession.resume(snapshot)
         change = merge_change(merge, ghost)
         self._call(primary, "churn", primary_id, change)
-        self._shuttle.drop(primary_id)
         self.events.emit("fleet.merge", primary=primary_id,
                          secondary=secondary_id, shard=primary,
                          num_users=merge.problem.num_users)
@@ -438,7 +423,6 @@ class Fleet:
             raise ValueError(f"no shard {shard}")
         self._call(source, "split", session_id, split, recommender)
         self._sessions[split.session_id] = source
-        self._shuttle.drop(session_id)
         self.events.emit("fleet.split", session_id=session_id,
                          spawn=split.session_id, shard=source,
                          num_users=split.problem.num_users)
@@ -473,7 +457,6 @@ class Fleet:
             self._call(source, "adopt", snapshot, pending)
             raise
         self._sessions[session_id] = shard
-        self._shuttle.drop(session_id)   # reallocated lazily on the target
         self.events.emit("fleet.migrate", session_id=session_id,
                          source=source, target=shard,
                          step=snapshot.state["t_next"],
@@ -547,7 +530,6 @@ class Fleet:
             shard.process.join(timeout=5.0)
             if shard.process.is_alive():
                 shard.process.terminate()
-        self._shuttle.close()
 
     def __enter__(self) -> "Fleet":
         return self

@@ -278,10 +278,10 @@ class RoomSession:
 
         Runs the (primary or fallback) recommender on an assembled
         frame and knocks the target out of the returned mask.  Split
-        from :meth:`complete_step` so the engine can run this half on
-        worker threads and finish steps with *batched* visibility
-        kernels; ``step``/``apply_graph`` compose the same halves, so
-        every path shares one recommender-invocation sequence.
+        from :meth:`complete_step` so the engine can finish steps with
+        *batched* visibility kernels; ``step``/``apply_graph`` compose
+        the same halves, so every path shares one recommender-invocation
+        sequence.
         """
         if not self._started:
             raise RuntimeError(

@@ -11,15 +11,6 @@ Messages are ``(op, *args)`` tuples; replies are ``("ok", value)`` or
 ``("error", exception)`` — worker-side exceptions are pickled back and
 re-raised in the router, so a bad ``submit`` fails the caller, not the
 shard.
-
-**Frames bypass the pipe when shared memory is available.**  A submit's
-positions argument may be either an ndarray (pickled by value, the heap
-fallback) or a :class:`~repro.buffers.BufferRef` staged by the router's
-:class:`~repro.buffers.FrameShuttle`; the worker resolves refs against
-the active buffer backend — the fork-inherited arena mapping, or a
-named-segment attach for post-fork segments — and copies the frame out
-before replying, which is what lets the router reuse one block per
-session.
 """
 
 from __future__ import annotations
@@ -28,9 +19,6 @@ import os
 import pickle
 import struct
 
-import numpy as np
-
-from .. import buffers
 from ..obs import PERF
 from .engine import SessionEngine
 
@@ -111,17 +99,6 @@ def channel_pair() -> tuple[PipeChannel, PipeChannel]:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _resolve_frame(frame) -> np.ndarray:
-    """Materialise a submit's positions: ndarray, or ref into shm.
-
-    Refs are copied out of the mapping immediately — the router reuses
-    the block for the session's next frame as soon as it has our reply.
-    """
-    if isinstance(frame, buffers.BufferRef):
-        return np.array(buffers.active().resolve(frame))
-    return np.asarray(frame)
-
-
 def _light_records(records) -> list[tuple]:
     """Completed-step summaries small enough to ship every pump.
 
@@ -137,9 +114,8 @@ def shard_main(channel: PipeChannel, shard: int, engine_kwargs: dict,
                events_factory=None) -> None:
     """Run one shard: a :class:`SessionEngine` behind a command loop.
 
-    Forked from the router, so the worker inherits the buffer backend's
-    mappings (zero-copy frame reads) and the PERF registry's enabled
-    flag; statistics are reset on entry so the state shipped back at
+    Forked from the router, so the worker inherits the PERF registry's
+    enabled flag; statistics are reset on entry so the state shipped back at
     shutdown covers exactly this shard's work, ready for the router's
     shard-tagged :meth:`~repro.obs.Instrumentation.merge_snapshot`.
 
@@ -167,9 +143,8 @@ def shard_main(channel: PipeChannel, shard: int, engine_kwargs: dict,
                                                   session_id=session_id)
                     reply = session.session_id
                 elif op == "submit":
-                    session_id, frame = args
-                    reply = engine.submit(session_id,
-                                          _resolve_frame(frame))
+                    session_id, positions = args
+                    reply = engine.submit(session_id, positions)
                 elif op == "pump":
                     (max_batches,) = args
                     reply = _light_records(engine.pump(max_batches))

@@ -611,9 +611,9 @@ def main(argv=None) -> int:
 
     ``python -m repro.serving.workload --scenario flash_crowd`` lowers
     the spec, drives the plan through a small :class:`Fleet` (or an
-    in-process engine with ``--fleet 0``) under the requested buffer
-    backend, replays the recorded telemetry through the spec's SLO
-    rules, and writes a report document.  The SLO verdict is
+    in-process engine with ``--fleet 0``), replays the recorded
+    telemetry through the spec's SLO rules, and writes a report
+    document.  The SLO verdict is
     *report-only* unless ``--enforce`` is given: a smoke host's timing
     is not evidence about production latency, but the pipeline must
     run end to end.
@@ -621,7 +621,6 @@ def main(argv=None) -> int:
     import argparse
     import os
 
-    from .. import buffers
     from ..models.baselines import NearestRecommender
     from ..obs import PERF, TelemetrySampler, evaluate_recorded
     from .engine import SessionEngine
@@ -636,8 +635,6 @@ def main(argv=None) -> int:
                         help="override the scenario's tick count")
     parser.add_argument("--fleet", type=int, default=2,
                         help="worker count (0 = in-process engine)")
-    parser.add_argument("--backend", default="heap",
-                        help="buffer backend (heap or shm)")
     parser.add_argument("--out", default=None,
                         help="output dir (default $REPRO_RUN_DIR or "
                              "runs/)")
@@ -654,25 +651,20 @@ def main(argv=None) -> int:
     # Enabled before the fleet fork so workers inherit the flag and the
     # latency/batch histograms feed the sampler's rate series.
     PERF.reset().enable()
-    with buffers.use_backend(args.backend):
-        if args.fleet > 0:
-            stack = Fleet(args.fleet, max_batch=16, max_queue=64,
-                          degrade_at=48)
-        else:
-            stack = SessionEngine(max_batch=16, max_queue=64,
-                                  degrade_at=48)
-        with stack:
-            sampler = TelemetrySampler(stack)
-            driver = ReplayDriver(stack)
-            outcome = driver.run_plan(plan, NearestRecommender(),
-                                      sampler=sampler)
+    if args.fleet > 0:
+        stack = Fleet(args.fleet, max_batch=16, max_queue=64, degrade_at=48)
+    else:
+        stack = SessionEngine(max_batch=16, max_queue=64, degrade_at=48)
+    with stack:
+        sampler = TelemetrySampler(stack)
+        outcome = ReplayDriver(stack).run_plan(plan, NearestRecommender(),
+                                               sampler=sampler)
     PERF.disable()
     report = evaluate_recorded(list(spec.slo), sampler.shards,
                                scenario=spec.name)
 
     document = {
         "scenario": spec.name,
-        "backend": args.backend,
         "fleet": args.fleet,
         "schedule_hash": plan.schedule_hash(),
         "events": len(plan.events),
@@ -682,8 +674,7 @@ def main(argv=None) -> int:
                 "breaches": len(report.breach_events),
                 "rules": [rule for rule in spec.slo]},
     }
-    path = os.path.join(out_dir,
-                        f"scenario_{spec.name}_{args.backend}.json")
+    path = os.path.join(out_dir, f"scenario_{spec.name}.json")
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
     print(f"scenario {spec.name}: {len(plan.events)} events, "

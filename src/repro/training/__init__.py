@@ -43,7 +43,6 @@ from .manifest import (
     write_json_atomic,
 )
 from .storage import (
-    BufferStore,
     CheckpointStore,
     InMemoryStore,
     LocalDirectoryStore,
@@ -67,7 +66,6 @@ __all__ = [
     "LocalDirectoryStore",
     "InMemoryStore",
     "ShardedDirectoryStore",
-    "BufferStore",
     "DivergenceGuard",
     "GuardConfig",
     "NonFiniteSignal",

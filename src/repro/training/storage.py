@@ -17,11 +17,6 @@ files (event logs).  Three backends ship:
   layout multi-node jobs use so thousands of per-attempt checkpoints
   never pile up in one directory; metadata documents (JSON, event logs)
   stay at the root where operators expect them.
-* :class:`BufferStore` — blob bytes live in :mod:`repro.buffers`
-  backend allocations, so on the shared-memory backend a checkpoint
-  written by one process is mappable by another through its
-  :class:`~repro.buffers.BufferRef` handle (see :meth:`BufferStore.refs`)
-  without ever touching disk.  Locators are ``buffer://`` pseudo-paths.
 
 All backends share one contract (exercised by
 ``tests/training/test_storage_contract.py``): array archives round-trip
@@ -47,7 +42,6 @@ __all__ = [
     "LocalDirectoryStore",
     "InMemoryStore",
     "ShardedDirectoryStore",
-    "BufferStore",
 ]
 
 
@@ -312,111 +306,3 @@ class ShardedDirectoryStore(CheckpointStore):
     def file_path(self, name: str) -> str:
         """Sharded stores expose real paths for every blob."""
         return self._path(name)
-
-
-class BufferStore(CheckpointStore):
-    """Blob bytes in :mod:`repro.buffers` backend allocations.
-
-    On the heap backend this behaves like :class:`InMemoryStore` with
-    refcounted blobs; on the shared-memory backend every blob is an
-    arena carve another process can map from its
-    :class:`~repro.buffers.BufferRef` alone — checkpoints move between
-    trainer and evaluator without a filesystem in the middle.  Bytes
-    are produced by the same ``np.savez`` / canonical-JSON serialisers
-    the other stores use, so round trips stay bit-identical across
-    backends (the contract suite compares them).
-
-    The store owns its blobs: rewriting or deleting a name releases the
-    previous allocation, and :meth:`close` releases everything still
-    live, so a store used as a context manager leaves the arena empty.
-    """
-
-    def __init__(self, backend=None):
-        from .. import buffers as _buffers
-
-        self._backend = backend if backend is not None \
-            else _buffers.active()
-        #: name -> (BufferRef, true byte length) — allocations are
-        #: padded to at least one byte, so the length rides alongside.
-        self._blobs: dict[str, tuple] = {}
-        self.root = f"buffer://{self._backend.name}-{next(_MEMORY_IDS)}"
-
-    # -- byte plumbing --------------------------------------------------
-    def _write_bytes(self, name: str, data: bytes) -> str:
-        name = _normalize_name(name)
-        ref = self._backend.allocate((max(len(data), 1),), np.uint8)
-        view = self._backend.resolve(ref)
-        view[:len(data)] = np.frombuffer(data, dtype=np.uint8)
-        previous = self._blobs.get(name)
-        self._blobs[name] = (ref, len(data))
-        if previous is not None:
-            self._backend.release(previous[0])
-        return self.locator(name)
-
-    def _read_bytes(self, name: str) -> bytes:
-        ref, length = self._blobs[_normalize_name(name)]
-        return bytes(self._backend.resolve(ref)[:length])
-
-    # -- the store contract ---------------------------------------------
-    def write_arrays(self, name: str, arrays: dict) -> str:
-        """Serialise to npz bytes held in a backend allocation."""
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        return self._write_bytes(name, buffer.getvalue())
-
-    def read_arrays(self, name: str) -> dict:
-        """Deserialise the stored npz bytes."""
-        with np.load(io.BytesIO(self._read_bytes(name))) as archive:
-            return {key: archive[key] for key in archive.files}
-
-    def write_json(self, name: str, payload: dict) -> str:
-        """Store the document as canonical JSON bytes."""
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        return self._write_bytes(name, rendered.encode())
-
-    def read_json(self, name: str) -> dict:
-        """Parse the stored JSON bytes."""
-        return json.loads(self._read_bytes(name).decode())
-
-    def list(self) -> list:
-        """Sorted blob names currently held."""
-        return sorted(self._blobs)
-
-    def exists(self, name: str) -> bool:
-        """Whether a live allocation holds the name."""
-        return _normalize_name(name) in self._blobs
-
-    def delete(self, name: str) -> None:
-        """Release the blob's allocation; raises when absent."""
-        name = _normalize_name(name)
-        if name not in self._blobs:
-            raise FileNotFoundError(name)
-        ref, _ = self._blobs.pop(name)
-        self._backend.release(ref)
-
-    def locator(self, name: str) -> str:
-        """``buffer://<backend>-<id>/<name>`` pseudo-path."""
-        return f"{self.root}/{_normalize_name(name)}"
-
-    # -- cross-process handoff ------------------------------------------
-    def refs(self) -> dict:
-        """Live handles (``{name: BufferRef}``) for another process.
-
-        On the shared-memory backend a peer resolves these against its
-        own backend instance to map the blob bytes directly; the true
-        byte length is ``ref.nbytes`` (allocations are only padded for
-        the degenerate empty blob).
-        """
-        return {name: ref for name, (ref, _) in self._blobs.items()}
-
-    def close(self) -> None:
-        """Release every live blob allocation; idempotent."""
-        for ref, _ in self._blobs.values():
-            self._backend.release(ref)
-        self._blobs.clear()
-
-    def __enter__(self) -> "BufferStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -1,7 +1,7 @@
-"""Determinism and equivalence of the batched/parallel evaluation engine.
+"""Determinism and equivalence of the batched evaluation engine.
 
-The batched engine, the forked-parallel engine and the reference engine
-must produce *identical* metrics (everything except wall-clock
+The batched engine and the reference engine must produce *identical*
+metrics (everything except wall-clock
 ``runtime_ms``), episode by episode.  Also pins the vectorised
 ``EpisodeResult.continuity`` against its loop definition.
 """
@@ -54,35 +54,6 @@ def test_batched_engine_matches_reference(recommender_cls):
     batched = evaluate_targets(fresh_room(), recommender_cls(), TARGETS,
                                engine="batched")
     assert_aggregates_identical(reference, batched)
-
-
-def test_parallel_matches_serial():
-    room = fresh_room()
-    serial = evaluate_targets(room, NearestRecommender(), TARGETS,
-                              engine="batched")
-    parallel = evaluate_targets(room, NearestRecommender(), TARGETS,
-                                engine="batched", workers=3)
-    assert_aggregates_identical(serial, parallel)
-
-
-def test_parallel_is_reproducible_for_stochastic_recommenders():
-    # Forking replays a stochastic recommender's RNG per worker, so the
-    # parallel run need not equal the serial one — but it must be
-    # identical run to run for a fixed worker count.
-    first = evaluate_targets(fresh_room(), RandomRecommender(seed=7),
-                             TARGETS, engine="batched", workers=2)
-    second = evaluate_targets(fresh_room(), RandomRecommender(seed=7),
-                              TARGETS, engine="batched", workers=2)
-    assert_aggregates_identical(first, second)
-
-
-def test_parallel_reference_engine_matches_too():
-    room = fresh_room()
-    serial = evaluate_targets(room, NearestRecommender(), TARGETS,
-                              engine="reference")
-    parallel = evaluate_targets(room, NearestRecommender(), TARGETS,
-                                engine="reference", workers=2)
-    assert_aggregates_identical(serial, parallel)
 
 
 def test_warm_caches_do_not_change_results():

@@ -1,5 +1,8 @@
 """Tests for the seven baseline recommenders and the oracle."""
 
+import dataclasses
+import signal
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,29 @@ from repro.models import (
     RenderAllRecommender,
     TGCNRecommender,
 )
+from repro.social import SocialGraph
+
+
+def _with_friendships(room, adjacency):
+    """``room`` with its social graph replaced by ``adjacency``."""
+    return dataclasses.replace(
+        room, name=room.name + "-rewired",
+        social=SocialGraph(adjacency, room.social.communities),
+        _dog_cache={}, _frame_cache={})
+
+
+def _fit_with_deadline(recommender, problem, seconds=30):
+    """Fit, failing instead of hanging if training never returns."""
+    def expire(signum, frame):
+        raise TimeoutError(f"fit did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return recommender.fit([problem])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRandom:
@@ -155,6 +181,28 @@ class TestGraFrank:
         strangers[problem.target] = False
         if friends.any():
             assert scores[friends].mean() > scores[strangers].mean()
+
+
+    def test_fit_terminates_when_a_user_befriends_everyone(self, room):
+        """Such an anchor has no negative to draw; the BPR resampling
+        loop used to spin forever once it picked one of its edges."""
+        adjacency = room.social.adjacency.copy()
+        adjacency[0, 1:] = adjacency[1:, 0] = True
+        hub_room = _with_friendships(room, adjacency)
+        history = _fit_with_deadline(GraFrankRecommender(epochs=5, seed=0),
+                                     AfterProblem(hub_room, target=0))
+        assert len(history["loss"]) == 5
+        assert all(np.isfinite(history["loss"]))
+
+    def test_complete_friendship_graph_trains_no_update(self, room):
+        """With every anchor ineligible no epoch has an edge to rank."""
+        count = room.num_users
+        adjacency = ~np.eye(count, dtype=bool)
+        rec = GraFrankRecommender(epochs=5, seed=0)
+        history = _fit_with_deadline(
+            rec, AfterProblem(_with_friendships(room, adjacency), target=0))
+        assert history["loss"] == []
+        assert np.all(np.isfinite(rec._embeddings))
 
 
 class TestRecurrentBaselines:

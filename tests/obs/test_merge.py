@@ -1,108 +1,34 @@
-"""Fork-parallel evaluation must not lose instrumentation.
+"""Exact cross-process merging of instrumentation state.
 
-The acceptance bar for the fork fix: a parallel ``evaluate_targets``
-run produces the *same merged timer/counter counts* as a serial run of
-the identical workload, and its trace contains the child processes'
-per-episode spans (which previously died with the fork).
+The serving fleet folds every shard's :meth:`Instrumentation.export_state`
+payload into the parent registry with :meth:`merge_snapshot`, once as
+aggregate totals and once shard-tagged.  The fold must be exact: merging
+a registry's exported state into an empty one reproduces it.
 """
-
-import multiprocessing
-import os
-
-import pytest
 
 from repro.core.evaluation import evaluate_targets
 from repro.datasets import RoomConfig, generate_room
 from repro.models import NearestRecommender
-from repro.obs import PERF, TRACER
+from repro.obs import PERF
+from repro.obs.instrumentation import Instrumentation
 
 TARGETS = [0, 2, 5, 9, 11]
 
-fork_available = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable")
 
-
-def _fresh_room():
-    return generate_room("smm", RoomConfig(num_users=16, num_steps=6),
+def test_export_merge_round_trip_is_exact():
+    room = generate_room("smm", RoomConfig(num_users=16, num_steps=6),
                          seed=4)
-
-
-def _instrumented_run(workers=None):
-    """Timer counts + counters of one cold evaluate_targets run."""
-    room = _fresh_room()
     PERF.reset().enable()
     try:
         evaluate_targets(room, NearestRecommender(), TARGETS,
-                         engine="batched", workers=workers)
-        timer_counts = {name: stat.count
-                        for name, stat in PERF.timers.items()}
-        counters = dict(PERF.counters)
-        histogram_counts = {name: histogram.count
-                            for name, histogram in PERF.histograms.items()}
+                         engine="batched")
+        state = PERF.export_state()
     finally:
         PERF.disable().reset()
-    return timer_counts, counters, histogram_counts
-
-
-@fork_available
-def test_parallel_merged_counts_equal_serial():
-    serial_timers, serial_counters, serial_histograms = _instrumented_run()
-    timers, counters, histograms = _instrumented_run(workers=2)
-    # the chunk-merge and IPC-measurement instrumentation is
-    # parallel-only by design (a serial run crosses no process pipe)
-    assert counters.pop("eval.parallel_chunks") == 2
-    assert counters.pop("eval.ipc_bytes") > 0
-    assert histograms.pop("eval.chunk_ipc_bytes") == 2
-    assert timers == serial_timers
-    assert counters == serial_counters
-    assert histograms == serial_histograms
-    # sanity: the workload actually ran episodes in the workers
-    assert timers["eval.episode"] == len(TARGETS)
-    assert serial_counters["eval.episodes"] == len(TARGETS)
-
-
-@fork_available
-def test_parallel_spans_cross_the_fork():
-    room = _fresh_room()
-    TRACER.reset().enable()
-    try:
-        evaluate_targets(room, NearestRecommender(), TARGETS,
-                         engine="batched", workers=2)
-        spans = list(TRACER.spans)
-    finally:
-        TRACER.disable().reset()
-    pids = {span.pid for span in spans}
-    assert os.getpid() in pids          # parent recorded eval.targets
-    assert len(pids) >= 2               # child spans were adopted
-    episode_spans = [s for s in spans if s.name == "eval.episode"]
-    assert len(episode_spans) == len(TARGETS)
-    assert all(span.pid != os.getpid() for span in episode_spans)
-    # episode phases survived with their nesting depths intact
-    child_names = {s.name for s in spans if s.pid != os.getpid()}
-    assert {"eval.episode_frames", "eval.recommend",
-            "eval.visibility", "eval.utility"} <= child_names
-    targets = sorted(span.attrs["target"] for span in episode_spans)
-    assert targets == sorted(TARGETS)
-
-
-@fork_available
-def test_parallel_timer_totals_are_positive_and_exact():
-    """Merged totals cover the children's work, not just the parent's."""
-    room = _fresh_room()
-    PERF.reset().enable()
-    try:
-        evaluate_targets(room, NearestRecommender(), TARGETS,
-                         engine="batched", workers=2)
-        episode = PERF.timers["eval.episode"]
-        assert episode.count == len(TARGETS)
-        assert episode.total > 0.0
-        assert 0.0 < episode.min <= episode.max
-        # parent-side umbrella scope spans the whole run
-        assert PERF.timers["eval.targets"].count == 1
-        assert PERF.timers["eval.targets"].total >= episode.max
-    finally:
-        PERF.disable().reset()
+    assert state["timers"]["eval.episode"]["count"] == len(TARGETS)
+    assert state["counters"]["eval.episodes"] == len(TARGETS)
+    merged = Instrumentation().merge_snapshot(state)
+    assert merged.export_state() == state
 
 
 # ----------------------------------------------------------------------

@@ -125,19 +125,6 @@ class TestDisabledOverhead:
 
 
 class TestForkPlumbing:
-    def test_drain_and_adopt_round_trip(self):
-        source = Tracer(enabled=True)
-        with source.span("work", {"chunk": 0}):
-            pass
-        payload = source.drain()
-        assert source.spans == []
-        target = Tracer(enabled=True)
-        target.adopt(payload)
-        assert len(target.spans) == 1
-        span = target.spans[0]
-        assert span.name == "work"
-        assert span.attrs == {"chunk": 0}
-
     def test_max_spans_bounds_memory(self):
         tracer = Tracer(enabled=True, max_spans=2)
         for index in range(5):
@@ -158,10 +145,3 @@ class TestGlobalWiring:
     def test_perf_is_bound_to_the_global_tracer(self):
         from repro.obs import TRACER
         assert PERF.tracer is TRACER
-
-    def test_runtime_shim_exports_the_same_registry(self):
-        import repro.obs
-        import repro.runtime
-        assert repro.runtime.PERF is repro.obs.PERF
-        assert repro.runtime.Instrumentation is repro.obs.Instrumentation
-        assert repro.runtime.TimerStat is repro.obs.TimerStat

@@ -1,8 +1,8 @@
 """Deterministic stress tests for the micro-batching session engine.
 
 The engine's admission control is pure queue-depth arithmetic, so even
-a run with deliberately *slow* recommender steps (injected sleeps) and a
-capped worker pool must be exactly reproducible: no step lost or
+a run with deliberately *slow* recommender steps (injected sleeps) must
+be exactly reproducible: no step lost or
 duplicated, per-room step order strictly monotone, and the set of shed
 steps equal — as a set of ``(session, step)`` pairs — to the
 ``session.shed`` events and to the shed tickets handed out at submit
@@ -49,15 +49,14 @@ class SlowStepRecommender(NearestRecommender):
         return super().recommend(frame)
 
 
-def run_workload(*, workers, pump_interval, max_queue, degrade_at=None,
+def run_workload(*, pump_interval, max_queue, degrade_at=None,
                  slow=False):
     """One seeded multi-room replay; returns everything observable."""
     rooms = [make_room("timik", 8, NUM_STEPS, seed=100 + index)
              for index in range(NUM_ROOMS)]
     events = EventLog(enabled=True)
     engine = SessionEngine(max_batch=4, max_queue=max_queue,
-                           degrade_at=degrade_at, workers=workers,
-                           events=events)
+                           degrade_at=degrade_at, events=events)
     driver = ReplayDriver(engine, pump_interval=pump_interval)
     for index, room in enumerate(rooms):
         recommender = (SlowStepRecommender(seed=index) if slow
@@ -67,13 +66,12 @@ def run_workload(*, workers, pump_interval, max_queue, degrade_at=None,
     tickets = driver.run()
     sessions = {f"room{index}": engine.session(f"room{index}")
                 for index in range(NUM_ROOMS)}
-    engine.close()
     return rooms, sessions, tickets, events
 
 
 def test_no_lost_or_duplicated_steps_and_monotone_order():
     _, sessions, tickets, _ = run_workload(
-        workers=4, pump_interval=3, max_queue=10, slow=True)
+        pump_interval=3, max_queue=10, slow=True)
     for session_id, session in sessions.items():
         indices = [step.t for step in session.steps]
         # Exactly one record per submitted frame, in submit order.
@@ -83,7 +81,7 @@ def test_no_lost_or_duplicated_steps_and_monotone_order():
 
 def test_shed_steps_match_shed_events_and_tickets():
     _, sessions, tickets, events = run_workload(
-        workers=4, pump_interval=3, max_queue=10, slow=True)
+        pump_interval=3, max_queue=10, slow=True)
     shed_steps = sorted((sid, step.t) for sid, session in sessions.items()
                         for step in session.steps if step.shed)
     shed_events = sorted((record["session_id"], record["step"])
@@ -100,7 +98,7 @@ def test_shed_steps_match_shed_events_and_tickets():
 
 def test_degraded_steps_match_degrade_events():
     _, sessions, tickets, events = run_workload(
-        workers=2, pump_interval=2, max_queue=16, degrade_at=6, slow=True)
+        pump_interval=2, max_queue=16, degrade_at=6, slow=True)
     degraded = sorted((sid, step.t) for sid, session in sessions.items()
                       for step in session.steps if step.degraded)
     degrade_events = sorted((record["session_id"], record["step"])
@@ -126,17 +124,16 @@ def fingerprint(sessions, tickets):
 
 
 def test_stress_run_is_deterministic():
-    """Slow steps + threads + overload: two runs are bit-identical."""
-    first = run_workload(workers=4, pump_interval=3, max_queue=10,
+    """Slow steps + overload: two runs are bit-identical."""
+    first = run_workload(pump_interval=3, max_queue=10,
                          degrade_at=7, slow=True)
-    second = run_workload(workers=4, pump_interval=3, max_queue=10,
+    second = run_workload(pump_interval=3, max_queue=10,
                           degrade_at=7, slow=True)
     assert fingerprint(first[1], first[2]) == fingerprint(second[1],
                                                           second[2])
-    # ... and independent of the worker count and injected sleeps: the
-    # shed/degrade pattern is decided at submit time, before either can
-    # matter.
-    third = run_workload(workers=1, pump_interval=3, max_queue=10,
+    # ... and independent of the injected sleeps: the shed/degrade
+    # pattern is decided at submit time, before they can matter.
+    third = run_workload(pump_interval=3, max_queue=10,
                          degrade_at=7, slow=False)
     assert fingerprint(first[1], first[2]) == fingerprint(third[1],
                                                           third[2])
@@ -145,7 +142,7 @@ def test_stress_run_is_deterministic():
 def test_processed_prefix_matches_offline_before_first_shed():
     """Until a room first sheds, its stream equals the offline episode."""
     rooms, sessions, _, _ = run_workload(
-        workers=4, pump_interval=3, max_queue=10, slow=True)
+        pump_interval=3, max_queue=10, slow=True)
     for index, room in enumerate(rooms):
         session = sessions[f"room{index}"]
         reference = evaluate_episode(
@@ -159,7 +156,7 @@ def test_processed_prefix_matches_offline_before_first_shed():
 
 
 def test_close_session_reports_counts():
-    _, _, _, _ = run_workload(workers=1, pump_interval=1, max_queue=64)
+    _, _, _, _ = run_workload(pump_interval=1, max_queue=64)
     events = EventLog(enabled=True)
     engine = SessionEngine(max_batch=4, events=events)
     room = make_room("smm", 8, 3, seed=5)

@@ -11,8 +11,8 @@ Three layers, mirroring the contract in docs/WORKLOADS.md:
   pinned goldens (the cross-host anchor — if a numpy upgrade ever
   changes ``default_rng`` stream semantics, these fail first).
 * **Execution invariance** — one plan drives identical serving outcomes
-  regardless of deployment knobs: worker-pool width, in-process engine
-  vs forked fleet, and live SLO monitoring vs recorded replay.
+  regardless of deployment: in-process engine vs forked fleet, and
+  live SLO monitoring vs recorded replay.
 """
 
 import multiprocessing
@@ -219,10 +219,8 @@ class TestScheduleDeterminism:
                 assert len(room["users"]) >= 2
 
 
-def _run_on_engine(plan, *, workers=None, max_queue=256,
-                   pump_interval=1):
-    with SessionEngine(max_batch=8, max_queue=max_queue,
-                       workers=workers) as engine:
+def _run_on_engine(plan, *, max_queue=256, pump_interval=1):
+    with SessionEngine(max_batch=8, max_queue=max_queue) as engine:
         driver = ReplayDriver(engine, pump_interval=pump_interval)
         return driver.run_plan(plan, NearestRecommender())
 
@@ -248,28 +246,8 @@ class TestExecutionInvariance:
         for result in outcome.results.values():
             assert result.recommendations.ndim == 2
 
-    def test_worker_pool_width_does_not_change_outcomes(self):
-        """Same plan, 1-thread vs 4-thread tail pool: bit-identical.
-
-        Admission control is deterministic in submit order and the
-        batched step is order-independent, so the worker pool is pure
-        mechanism — if outcomes drift with pool width, a data race
-        crept into the batch path.
-        """
-        plan = WorkloadGenerator(
-            canned_spec("flash_crowd", ticks=14)).schedule()
-        serial = _run_on_engine(plan, workers=None)
-        threaded = _run_on_engine(plan, workers=4)
-        serial_tickets, serial_results = _accounting(serial)
-        threaded_tickets, threaded_results = _accounting(threaded)
-        assert serial_tickets == threaded_tickets
-        assert sorted(serial_results) == sorted(threaded_results)
-        for sid in serial_results:
-            assert_episodes_identical(serial_results[sid],
-                                      threaded_results[sid])
-
     def test_overload_shed_accounting_is_schedule_determined(self):
-        """Flash-crowd overload sheds identically across pool widths.
+        """Flash-crowd overload sheds identically run to run.
 
         ``pump_interval=4`` lets the burst stack the queue past
         ``max_queue`` so real shedding happens; the shed/degrade
@@ -277,8 +255,8 @@ class TestExecutionInvariance:
         """
         plan = WorkloadGenerator(
             canned_spec("flash_crowd", ticks=14)).schedule()
-        runs = [_run_on_engine(plan, workers=w, max_queue=12,
-                               pump_interval=4) for w in (None, 3)]
+        runs = [_run_on_engine(plan, max_queue=12, pump_interval=4)
+                for _ in range(2)]
         accounted = [_accounting(run)[0] for run in runs]
         assert accounted[0] == accounted[1]
         statuses = [status for tickets in accounted[0].values()
@@ -308,24 +286,22 @@ class TestExecutionInvariance:
                                       fleet_outcome.results[sid])
 
     @fork_available
-    def test_fleet_flash_crowd_accounting_matches_across_workers(self):
-        """Seeded fleet stress: per-shard worker pools don't leak into
-        admission — two fleets differing only in ``workers`` hand out
-        identical ticket streams and final episodes under burst load."""
+    def test_fleet_flash_crowd_accounting_is_repeatable(self):
+        """Seeded fleet stress: two identical fleets hand out identical
+        ticket streams and final episodes under burst load."""
         plan = WorkloadGenerator(
             canned_spec("flash_crowd", ticks=14)).schedule()
         outcomes = []
-        for workers in (None, 3):
-            with Fleet(2, max_batch=8, max_queue=32,
-                       workers=workers) as fleet:
+        for _ in range(2):
+            with Fleet(2, max_batch=8, max_queue=32) as fleet:
                 outcomes.append(ReplayDriver(fleet).run_plan(
                     plan, NearestRecommender()))
-        lean_tickets, lean_results = _accounting(outcomes[0])
-        wide_tickets, wide_results = _accounting(outcomes[1])
-        assert lean_tickets == wide_tickets
-        for sid in lean_results:
-            assert_episodes_identical(lean_results[sid],
-                                      wide_results[sid])
+        first_tickets, first_results = _accounting(outcomes[0])
+        second_tickets, second_results = _accounting(outcomes[1])
+        assert first_tickets == second_tickets
+        for sid in first_results:
+            assert_episodes_identical(first_results[sid],
+                                      second_results[sid])
 
 
 class _MonitoredSampler(TelemetrySampler):

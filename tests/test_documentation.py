@@ -45,11 +45,9 @@ def test_public_api_documented(module_name):
     "repro.social", "repro.study",
     "repro.bench", "repro.viz", "repro.training", "repro.training.engine",
     "repro.training.batched", "repro.training.storage",
-    "repro.runtime", "repro.obs",
+    "repro.obs",
     "repro.serving", "repro.serving.session", "repro.serving.engine",
     "repro.serving.replay", "repro.serving.workload",
-    "repro.buffers", "repro.buffers.arena",
-    "repro.buffers.backend", "repro.buffers.heap", "repro.buffers.shm",
 ])
 def test_public_methods_documented(module_name):
     """Public methods of exported classes must have docstrings."""

@@ -1,7 +1,7 @@
 """One shared contract suite for every CheckpointStore backend.
 
-Local-directory, in-memory, sharded fan-out and buffer-backed stores
-must be interchangeable under :class:`~repro.training.CheckpointManager` and the
+Local-directory, in-memory and sharded fan-out stores must be
+interchangeable under :class:`~repro.training.CheckpointManager` and the
 training engine: array archives round-trip bit-identically, JSON
 documents round-trip value-identically, ``list``/``exists``/``delete``
 reflect exactly the blobs written, and illegal names are rejected the
@@ -20,7 +20,6 @@ import pytest
 
 from repro.models.poshgnn import POSHGNN, POSHGNNTrainer
 from repro.training import (
-    BufferStore,
     CheckpointManager,
     InMemoryStore,
     LocalDirectoryStore,
@@ -29,7 +28,7 @@ from repro.training import (
     open_directory_store,
 )
 
-BACKENDS = ["local", "memory", "sharded", "buffer"]
+BACKENDS = ["local", "memory", "sharded"]
 
 
 def make_store(kind, tmp_path):
@@ -37,8 +36,6 @@ def make_store(kind, tmp_path):
         return LocalDirectoryStore(tmp_path / "store")
     if kind == "memory":
         return InMemoryStore()
-    if kind == "buffer":
-        return BufferStore()
     return ShardedDirectoryStore(tmp_path / "store", fanout=4)
 
 
@@ -107,7 +104,7 @@ class TestStoreContract:
     def test_file_path_contract(self, store):
         store.write_json("manifest.json", {})
         path = store.file_path("manifest.json")
-        if isinstance(store, (InMemoryStore, BufferStore)):
+        if isinstance(store, InMemoryStore):
             assert path is None
         else:
             assert os.path.exists(path)
@@ -143,8 +140,6 @@ class TestBackendEquivalence:
             store.write_arrays("ckpt-00001.npz", ARRAYS)
             if isinstance(store, InMemoryStore):
                 raw = store._blobs["ckpt-00001.npz"]
-            elif isinstance(store, BufferStore):
-                raw = store._read_bytes("ckpt-00001.npz")
             else:
                 with open(store.file_path("ckpt-00001.npz"), "rb") as fh:
                     raw = fh.read()
@@ -253,39 +248,3 @@ class TestTrainingOnBackends:
         assert os.path.exists(os.path.join(run_dir, "events.jsonl"))
         final = open_directory_store(run_dir).locator("ckpt-00004.npz")
         assert os.sep + "shard-" in final and os.path.exists(final)
-
-
-class TestBufferStoreSpecifics:
-    def test_locator_scheme_and_refs_surface(self):
-        with BufferStore() as store:
-            store.write_arrays("ckpt-00001.npz", ARRAYS)
-            assert store.root.startswith("buffer://")
-            assert store.locator("ckpt-00001.npz") \
-                == f"{store.root}/ckpt-00001.npz"
-            refs = store.refs()
-            assert set(refs) == {"ckpt-00001.npz"}
-            assert refs["ckpt-00001.npz"].dtype == "uint8"
-
-    def test_close_releases_every_blob(self):
-        from repro import buffers
-
-        backend = buffers.active()
-        before = backend.stats().live_blocks
-        store = BufferStore(backend)
-        store.write_arrays("ckpt-00001.npz", ARRAYS)
-        store.write_json("manifest.json", {"epoch": 1})
-        assert backend.stats().live_blocks == before + 2
-        store.close()
-        assert backend.stats().live_blocks == before
-        store.close()  # idempotent
-
-    def test_overwrite_releases_previous_allocation(self):
-        from repro import buffers
-
-        backend = buffers.active()
-        before = backend.stats().live_blocks
-        with BufferStore(backend) as store:
-            store.write_json("manifest.json", {"epoch": 1})
-            store.write_json("manifest.json", {"epoch": 2})
-            assert backend.stats().live_blocks == before + 1
-            assert store.read_json("manifest.json") == {"epoch": 2}
