@@ -186,8 +186,7 @@ def _generate_rooms(config: ServingBenchConfig) -> list:
     """The bench workload: one (room, target) pair per concurrent room.
 
     Targets alternate over the user index, so the batch mixes MR targets
-    (forced co-located users, wide present sets) with VR targets — the
-    two serving regimes the batched kernels partition on.
+    (forced co-located users) with VR targets (none) in one group.
     """
     room_config = RoomConfig(num_users=config.num_users,
                              num_steps=config.num_steps)

@@ -12,9 +12,10 @@ Two engines produce identical metrics:
 * ``"batched"`` — shares occlusion graphs and frames across
   recommenders through the room caches (prebuilt with the batched
   all-targets converter), assembles episode frames in vectorised
-  passes, and resolves visibility once per step on the present-user
-  subset.  Every array it produces is bit-identical to the reference
-  path; ``tests/core/test_engine_determinism.py`` asserts it.
+  passes, and resolves visibility once per episode from the rendered
+  avatars' adjacency rows.  Every array it produces is bit-identical to
+  the reference path; ``tests/core/test_engine_determinism.py`` asserts
+  it.
 """
 
 from __future__ import annotations
@@ -212,7 +213,9 @@ def _evaluate_episode_fast(problem: AfterProblem,
 
         with PERF.scope("eval.visibility"):
             visibility, occlusion_rates = resolve_episode_visibility(
-                problem.dog.snapshots, recommendations, frames[0].forced)
+                problem.dog.snapshots, recommendations, frames[0].forced,
+                np.stack([frame.blocked for frame in frames]),
+                np.stack([frame.forced_occluded for frame in frames]))
 
         with PERF.scope("eval.utility"):
             for frame in frames:

@@ -2,7 +2,7 @@
 
 A :class:`Frame` is the assembled, target-centric view of the room at one
 time step — the occlusion graph, the target's utility rows, distances,
-interfaces, the forced-presence mask and the physically-blocked mask.
+interfaces, the forced-presence mask and the physical-occlusion masks.
 Frame assembly implements the *input side* of MIA (paper Sec. IV-A): the
 distance-normalised utilities ``p_hat``/``s_hat`` and the hybrid-
 participation mask ``m_t``.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import StaticOcclusionGraph, forced_presence_mask, \
-    physically_blocked_mask
+    physical_cover
 from ..geometry.batched import stacked_rooms_field
 
 __all__ = ["Frame", "build_frame", "build_episode_frames",
@@ -68,6 +68,9 @@ class Frame:
     blocked:
         Users that can never be seen (physically occluded by a nearer MR
         participant) — MIA's pruning set.
+    forced_occluded:
+        Forced users hidden behind a nearer forced user — the
+        recommendation-independent physical term of visibility.
     mask:
         MIA's hybrid-participation mask ``m_t``: 1 for valid candidates,
         0 for the target and blocked users.
@@ -84,6 +87,7 @@ class Frame:
     interfaces_mr: np.ndarray
     forced: np.ndarray
     blocked: np.ndarray
+    forced_occluded: np.ndarray
     mask: np.ndarray
     raw_preference: np.ndarray = None
     raw_presence: np.ndarray = None
@@ -132,7 +136,10 @@ def build_frame(t: int, target: int, graph: StaticOcclusionGraph,
     """Assemble a frame from raw scenario data (MIA preprocessing)."""
     interfaces_mr = np.asarray(interfaces_mr, dtype=bool)
     forced = forced_presence_mask(interfaces_mr, target)
-    blocked = physically_blocked_mask(graph, forced)
+    cover = physical_cover([graph.adjacency], graph.distances[None],
+                           forced[None], graph.body_radius)[0]
+    blocked = cover & ~forced
+    blocked[target] = False
 
     mask = np.ones(graph.num_users, dtype=np.float64)
     mask[target] = 0.0
@@ -161,6 +168,7 @@ def build_frame(t: int, target: int, graph: StaticOcclusionGraph,
         interfaces_mr=interfaces_mr,
         forced=forced,
         blocked=blocked,
+        forced_occluded=cover & forced,
         mask=mask,
         raw_preference=raw_preference,
         raw_presence=raw_presence,
@@ -188,21 +196,12 @@ def build_episode_frames(target: int, graphs: list,
     count = graphs[0].num_users
 
     distances = np.stack([graph.distances for graph in graphs])   # (T, N)
-
-    forced_idx = np.nonzero(forced)[0]
-    if forced_idx.size:
-        # physically_blocked_mask, broadcast over steps; one gather on
-        # the stacked adjacency beats T small per-step column gathers.
-        margin = graphs[0].body_radius
-        adjacency = np.stack([graph.adjacency for graph in graphs])
-        overlap = adjacency[:, :, forced_idx]                     # (T, N, F)
-        nearer = distances[:, forced_idx][:, None, :] \
-            < distances[:, :, None] - margin
-        blocked = (overlap & nearer).any(axis=2)
-        blocked[:, forced_idx] = False
-        blocked[:, target] = False
-    else:
-        blocked = np.zeros((steps, count), dtype=bool)
+    cover = physical_cover([graph.adjacency for graph in graphs], distances,
+                           np.broadcast_to(forced, distances.shape),
+                           graphs[0].body_radius)
+    blocked = cover & ~forced
+    blocked[:, target] = False
+    forced_occluded = cover & forced
 
     mask = np.empty((steps, count))
     mask.fill(1.0)
@@ -244,6 +243,7 @@ def build_episode_frames(target: int, graphs: list,
             interfaces_mr=interfaces_mr,
             forced=forced,
             blocked=blocked[t],
+            forced_occluded=forced_occluded[t],
             mask=mask[t],
             raw_preference=raw_preference[t],
             raw_presence=raw_presence[t],
@@ -279,33 +279,11 @@ def build_room_frames(ts, targets, graphs, preference_rows,
     forced[rows, targets] = False
 
     distances = stacked_rooms_field(graphs, "distances")
-    adjacency = stacked_rooms_field(graphs, "adjacency")
-    margin = graphs[0].body_radius
-
-    # physically_blocked_mask, broadcast: like the scalar version, gather
-    # the forced columns before the pairwise work — only rooms that have
-    # forced users at all (MR targets), padded to the widest forced set
-    # among them.  The adjacency gather reads *rows* instead of columns
-    # (arc intersection is symmetric by construction, and both
-    # converters clear the target symmetrically), because row views are
-    # contiguous and therefore far cheaper to gather.  Padded slots
-    # carry valid=False and drop out of the disjunction, exactly as
-    # absent columns do in the scalar gather.
-    blocked = np.zeros(distances.shape, dtype=bool)
-    has_forced = np.nonzero(forced.any(axis=1))[0]
-    if has_forced.size:
-        sub_forced = forced[has_forced]
-        sub_distances = distances[has_forced]
-        width = int(sub_forced.sum(axis=1).max())
-        forder = np.argsort(~sub_forced, axis=1, kind="stable")[:, :width]
-        fvalid = np.take_along_axis(sub_forced, forder, axis=1)
-        fdist = np.take_along_axis(sub_distances, forder, axis=1)
-        adj_rows = adjacency[has_forced[:, None], forder]      # (R, F, N)
-        nearer = fdist[:, :, None] < sub_distances[:, None, :] - margin
-        blocked[has_forced] = (adj_rows & nearer
-                               & fvalid[:, :, None]).any(axis=1)
-    blocked[forced] = False
+    cover = physical_cover([graph.adjacency for graph in graphs],
+                           distances, forced, graphs[0].body_radius)
+    blocked = cover & ~forced
     blocked[rows, targets] = False
+    forced_occluded = cover & forced
 
     mask = np.empty((rooms, distances.shape[1]))
     mask.fill(1.0)
@@ -344,6 +322,7 @@ def build_room_frames(ts, targets, graphs, preference_rows,
             interfaces_mr=interfaces[b],
             forced=forced[b],
             blocked=blocked[b],
+            forced_occluded=forced_occluded[b],
             mask=mask[b],
             raw_preference=raw_preference[b],
             raw_presence=raw_presence[b],

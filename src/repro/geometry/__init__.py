@@ -24,6 +24,7 @@ from .space import Room, pairwise_distances, project_to_floor, relative_angles
 from .visibility import (
     forced_presence_mask,
     occlusion_rate,
+    physical_cover,
     physically_blocked_mask,
     resolve_episode_visibility,
     resolve_rooms_visibility,
@@ -54,6 +55,7 @@ __all__ = [
     "resolve_visibility_with_occlusion",
     "resolve_episode_visibility",
     "resolve_rooms_visibility",
+    "physical_cover",
     "physically_blocked_mask",
     "occlusion_rate",
 ]

@@ -21,7 +21,7 @@ from .occlusion import StaticOcclusionGraph
 
 __all__ = ["resolve_visibility", "resolve_visibility_with_occlusion",
            "resolve_episode_visibility", "resolve_rooms_visibility",
-           "occlusion_rate", "forced_presence_mask",
+           "occlusion_rate", "forced_presence_mask", "physical_cover",
            "physically_blocked_mask"]
 
 
@@ -175,161 +175,140 @@ def resolve_visibility_with_occlusion(graph: StaticOcclusionGraph,
 
 
 def resolve_episode_visibility(graphs: list, rendered: np.ndarray,
-                               forced: np.ndarray | None = None,
-                               depth_margin: float | None = None) -> tuple:
+                               forced: np.ndarray, blocked: np.ndarray,
+                               forced_occluded: np.ndarray) -> tuple:
     """Visibility and occlusion rates for a whole episode at once.
 
     ``graphs`` is one target's snapshot list (length ``T``) and
-    ``rendered`` the ``(T, N)`` boolean render masks.  Step ``t`` of the
-    result equals ``resolve_visibility_with_occlusion(graphs[t],
-    rendered[t], forced)`` exactly — the per-step work is identical, but
-    the forced-mask preprocessing is hoisted out of the loop.  Returns
-    ``(visible, rates)`` of shapes ``(T, N)`` and ``(T,)``.
+    ``rendered`` the ``(T, N)`` boolean render masks; ``forced`` is the
+    episode's ``(N,)`` forced-presence mask and ``blocked`` /
+    ``forced_occluded`` are the ``(T, N)`` recommendation-independent
+    masks its frames carry (``Frame.blocked``, ``Frame.forced_occluded``).
+    Step ``t`` of the result equals ``resolve_visibility_with_occlusion(
+    graphs[t], rendered[t], forced)`` exactly.  Returns ``(visible,
+    rates)`` of shapes ``(T, N)`` and ``(T,)``.
     """
     first = graphs[0]
-    target = first.target
-    rendered = np.asarray(rendered, dtype=bool)
-    if forced is None:
-        forced = np.zeros(rendered.shape[1], dtype=bool)
-    forced = np.asarray(forced, dtype=bool).copy()
-    if depth_margin is None:
-        depth_margin = first.body_radius
-    forced[target] = False
-    not_forced = ~forced
-
-    shown = rendered.copy()
-    shown[:, target] = False
-    visible = np.zeros_like(shown)
-    rates = np.zeros(len(graphs))
-    for t, graph in enumerate(graphs):
-        virtual = shown[t] & not_forced
-        present = virtual | forced
-        visible[t] = present
-        idx = np.nonzero(present)[0]
-        if idx.size:
-            sub_adjacency = graph.adjacency[np.ix_(idx, idx)]
-            sub_distances = graph.distances[idx]
-            sub_virtual = virtual[idx]
-            sub_forced = forced[idx]
-            nearer = sub_distances[None, :] \
-                < sub_distances[:, None] - depth_margin
-
-            clutter = (sub_adjacency & sub_virtual[None, :]).any(axis=1) \
-                & sub_virtual
-            behind_physical = (sub_adjacency & sub_forced[None, :]
-                               & nearer).any(axis=1) & sub_virtual
-            covered = (sub_adjacency & (sub_forced | sub_virtual)[None, :]
-                       & nearer).any(axis=1) & sub_forced
-            visible[t, idx] = ~(clutter | behind_physical | covered)
-
-        total = int(shown[t].sum())
-        if total:
-            rates[t] = int((shown[t] & ~visible[t]).sum()) / total
-    return visible, rates
+    return _resolve_display(
+        [graph.adjacency for graph in graphs],
+        np.stack([graph.distances for graph in graphs]), first.target,
+        rendered, forced, blocked, forced_occluded, first.body_radius)
 
 
 def resolve_rooms_visibility(graphs: list, rendered: np.ndarray,
-                             forced: np.ndarray,
-                             depth_margin: float | None = None) -> tuple:
+                             forced: np.ndarray, blocked: np.ndarray,
+                             forced_occluded: np.ndarray) -> tuple:
     """Visibility and occlusion rates across many *rooms* at one instant.
 
     The cross-room companion of :func:`resolve_episode_visibility`,
-    used by the serving engine's micro-batches: element ``b`` of each
-    argument belongs to a different room (all rooms sharing
+    used by the serving engine's micro-batches: row ``b`` of each
+    ``(B, N)`` argument belongs to a different room (all rooms sharing
     ``num_users`` and ``body_radius`` — the engine groups them so), and
     row ``b`` of the result equals
     ``resolve_visibility_with_occlusion(graphs[b], rendered[b],
-    forced[b])`` exactly.  Equality is structural, not approximate:
-    every clutter/occlusion term is boolean algebra conjoined with
-    present-user masks (so the scalar path's present-subset gather
-    selects the same pairs), and the occlusion rate is a ratio of two
-    integer counts.
+    forced[b])`` exactly.  An empty batch yields ``(0, N)`` / ``(0,)``.
 
     Returns ``(visible, rates)`` of shapes ``(B, N)`` and ``(B,)``.
     """
     rendered = np.asarray(rendered, dtype=bool)
-    rooms = rendered.shape[0]
-    rows = np.arange(rooms)
+    if not len(graphs):
+        return np.zeros(rendered.shape, dtype=bool), np.zeros(0)
     targets = np.array([graph.target for graph in graphs], dtype=np.int64)
-    if depth_margin is None:
-        depth_margin = graphs[0].body_radius
+    return _resolve_display(
+        [graph.adjacency for graph in graphs],
+        stacked_rooms_field(graphs, "distances"), targets, rendered,
+        forced, blocked, forced_occluded, graphs[0].body_radius)
 
-    forced = np.asarray(forced, dtype=bool).copy()
-    forced[rows, targets] = False
-    virtual = rendered.copy()
-    virtual[rows, targets] = False
-    virtual &= ~forced
-    present = virtual | forced
 
-    visible = present.copy()
-    # Like the scalar resolver, restrict the pairwise work to each
-    # room's *present* users.  Present counts differ per room — rooms
-    # with an MR target carry all their forced co-located users, rooms
-    # with a VR target only the handful of rendered avatars — so the
-    # rooms are partitioned on that split and each partition is padded
-    # only to ITS widest present set, keeping the narrow rooms from
-    # paying for the wide ones.
-    if rooms:
-        distances = stacked_rooms_field(graphs, "distances")
-        adjacency = stacked_rooms_field(graphs, "adjacency")
-        with_forced = forced.any(axis=1)
-        for part in (np.nonzero(with_forced)[0],
-                     np.nonzero(~with_forced)[0]):
-            if part.size:
-                _resolve_rooms_subset(part, adjacency, distances, virtual,
-                                      forced, present, visible,
-                                      depth_margin)
+def _resolve_display(adjacency, distances: np.ndarray, targets,
+                     rendered: np.ndarray, forced: np.ndarray,
+                     blocked: np.ndarray, forced_occluded: np.ndarray,
+                     depth_margin: float) -> tuple:
+    """The batched visibility kernel: ``B`` frames in O(B · R · N).
 
-    shown = rendered.copy()
-    shown[rows, targets] = False
+    Row ``b`` equals ``resolve_visibility_with_occlusion`` on frame
+    ``b`` exactly; every term is boolean algebra over the dense
+    resolver's, split by who occludes whom:
+
+    * physical × physical — ``forced_occluded``, and avatar behind a
+      physical person — ``blocked`` on the virtual rows: both are
+      independent of the recommendation, so the frame builders compute
+      them once (:func:`physical_cover`);
+    * what is left involves a rendered avatar, so only the ``R``
+      virtual rows of each adjacency are read: avatar clutter among
+      them, and a forced user covered by a nearer avatar.
+
+    Reading rows for columns requires a symmetric adjacency, which
+    both occlusion-graph converters produce.  ``adjacency`` is any
+    length-``B`` sequence of ``(N, N)`` matrices; ``targets`` one
+    target per row or a single shared one.
+    """
+    shown = np.array(rendered, dtype=bool)
+    shown[np.arange(shown.shape[0]), targets] = False
+    forced = np.asarray(forced, dtype=bool)
+    virtual = shown & ~forced
+    rows, nearer = _occluder_rows(adjacency, distances, virtual,
+                                  depth_margin)
+    clutter = rows.any(axis=1) & virtual
+    overdrawn = (rows & nearer).any(axis=1) & forced
+    visible = (virtual & ~blocked & ~clutter) \
+        | (forced & ~forced_occluded & ~overdrawn)
+
     total = shown.sum(axis=1)
     occluded = (shown & ~visible).sum(axis=1)
-    rates = np.zeros(rooms, dtype=np.float64)
+    rates = np.zeros(shown.shape[0], dtype=np.float64)
     np.divide(occluded, total, out=rates, where=total > 0)
     return visible, rates
 
 
-def _resolve_rooms_subset(part: np.ndarray, adjacency: np.ndarray,
-                          distances: np.ndarray, virtual: np.ndarray,
-                          forced: np.ndarray, present: np.ndarray,
-                          visible: np.ndarray,
-                          depth_margin: float) -> None:
-    """Resolve one partition of rooms into ``visible``, in place.
+def _occluder_rows(adjacency, distances: np.ndarray,
+                   occluders: np.ndarray, depth_margin: float) -> tuple:
+    """Each frame's occluder rows of the adjacency, and their depth order.
 
-    Gathers every room's present indices (in ascending order — a stable
-    argsort on ``~present`` lists them first) into a padded ``(R, K)``
-    table; padded entries carry valid=False and therefore neither
-    virtual nor forced, so they drop out of every conjoined term exactly
-    as absent users drop out of the scalar present-subset gather.
+    Returns ``(rows, nearer)`` of shape ``(B, K, N)``, ``K`` the widest
+    occluder set: ``rows[b, k]`` is the adjacency row of frame ``b``'s
+    ``k``-th occluder (ascending; padded slots are all False) and
+    ``nearer[b, k, w]`` holds where that occluder is meaningfully nearer
+    than ``w`` — the same float compare as the dense resolver's
+    ``nearer[w, k]``.  By symmetry ``rows.any(axis=1)[b, w]`` is "some
+    occluder's arc meets ``w``'s", at O(K · N) instead of O(N²).
     """
-    sub_present = present[part]
-    width = int(sub_present.sum(axis=1).max())
-    if not width:
-        return
-    order = np.argsort(~sub_present, axis=1, kind="stable")[:, :width]
-    valid = np.take_along_axis(sub_present, order, axis=1)
+    occluders = np.asarray(occluders, dtype=bool)
+    width = int(occluders.sum(axis=1).max(initial=0))
+    order = np.argsort(~occluders, axis=1, kind="stable")[:, :width]
+    lanes = np.arange(order.shape[0])[:, None]
+    rows = np.empty(order.shape + occluders.shape[1:], dtype=bool)
+    for row, matrix, index in zip(rows, adjacency, order):
+        np.take(matrix, index, axis=0, out=row)
+    rows &= occluders[lanes, order][:, :, None]
+    nearer = distances[lanes, order][:, :, None] \
+        < distances[:, None, :] - depth_margin
+    return rows, nearer
 
-    sub_distances = np.take_along_axis(distances[part], order, axis=1)
-    # Gather the (order x order) adjacency submatrix in two steps —
-    # whole rows first, then columns along the contiguous axis — which
-    # is several times cheaper than one triple fancy index.
-    sub_adjacency = np.take_along_axis(
-        adjacency[part[:, None], order], order[:, None, :], axis=2)
-    sub_virtual = np.take_along_axis(virtual[part], order, axis=1)
-    sub_forced = np.take_along_axis(forced[part], order, axis=1)
-    nearer = sub_distances[:, None, :] \
-        < sub_distances[:, :, None] - depth_margin
 
-    clutter = (sub_adjacency & sub_virtual[:, None, :]).any(axis=2) \
-        & sub_virtual
-    behind_physical = (sub_adjacency & sub_forced[:, None, :]
-                       & nearer).any(axis=2) & sub_virtual
-    covered = (sub_adjacency & (sub_forced | sub_virtual)[:, None, :]
-               & nearer).any(axis=2) & sub_forced
-    sub_visible = valid & ~(clutter | behind_physical | covered)
-    part_visible = visible[part]
-    np.put_along_axis(part_visible, order, sub_visible, axis=1)
-    visible[part] = part_visible
+def physical_cover(adjacency, distances: np.ndarray, forced: np.ndarray,
+                   depth_margin: float) -> np.ndarray:
+    """Users covered by a meaningfully nearer physically present user.
+
+    ``adjacency`` is a length-``B`` sequence of ``(N, N)`` matrices and
+    ``distances``/``forced`` are ``(B, N)``; returns the ``(B, N)``
+    mask.  Independent of the recommendation, so frame assembly
+    computes it once per frame: its non-forced rows are MIA's
+    ``blocked`` set (and the "avatar behind a physical person" term),
+    its forced rows the "physical person behind a physical person"
+    term of :func:`resolve_visibility`.
+    """
+    cover = np.zeros(distances.shape, dtype=bool)
+    # Frames of VR targets force no one: skip them instead of padding
+    # them to the widest forced set of a mixed batch.
+    some = np.flatnonzero(forced.any(axis=1))
+    if not some.size:
+        return cover
+    rows, nearer = _occluder_rows([adjacency[b] for b in some],
+                                  distances[some], forced[some],
+                                  depth_margin)
+    cover[some] = (rows & nearer).any(axis=1)
+    return cover
 
 
 def physically_blocked_mask(graph: StaticOcclusionGraph,
@@ -344,16 +323,9 @@ def physically_blocked_mask(graph: StaticOcclusionGraph,
     forced = np.asarray(forced, dtype=bool)
     if depth_margin is None:
         depth_margin = graph.body_radius
-    count = graph.num_users
-    blocked = np.zeros(count, dtype=bool)
-    forced_idx = np.nonzero(forced)[0]
-    if forced_idx.size == 0:
-        return blocked
-    overlap = graph.adjacency[:, forced_idx]
-    nearer = graph.distances[forced_idx][None, :] \
-        < graph.distances[:, None] - depth_margin
-    blocked = (overlap & nearer).any(axis=1)
-    blocked[forced_idx] = False
+    blocked = physical_cover([graph.adjacency], graph.distances[None],
+                             forced[None], depth_margin)[0]
+    blocked[forced] = False
     blocked[graph.target] = False
     return blocked
 

@@ -543,7 +543,9 @@ class SessionEngine:
                 visible, rates = resolve_rooms_visibility(
                     group_graphs[key],
                     np.stack([outputs[i][0] for i in indices]),
-                    np.stack([frames[i].forced for i in indices]))
+                    np.stack([frames[i].forced for i in indices]),
+                    np.stack([frames[i].blocked for i in indices]),
+                    np.stack([frames[i].forced_occluded for i in indices]))
                 for row, slot in enumerate(indices):
                     session, pending = batch[slot]
                     rendered, recommend_s = outputs[slot]

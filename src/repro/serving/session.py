@@ -303,10 +303,12 @@ class RoomSession:
                       degraded: bool = False) -> SessionStep:
         """The bookkeeping half: utility, carried state, step record.
 
-        ``visible``/``occlusion`` come either from the scalar resolver
+        ``visible``/``occlusion`` come either from the dense resolver
         (:meth:`apply_graph`) or from one row of the engine's batched
-        :func:`~repro.geometry.resolve_rooms_visibility` call — the two
-        are bit-identical by contract.
+        :func:`~repro.geometry.resolve_rooms_visibility` call, which
+        reads only the rendered avatars' adjacency rows and the frame's
+        ``blocked``/``forced_occluded`` masks — the two are
+        bit-identical by contract.
         """
         utility = step_utility(frame.preference, frame.presence, visible,
                                self._visible_previous, rendered)

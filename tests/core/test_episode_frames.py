@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import AfterProblem
-from repro.core.scene import build_episode_frames, build_frame
+from repro.core.scene import build_episode_frames, build_frame, \
+    build_room_frames
 from repro.datasets import RoomConfig, generate_room
+from repro.geometry import resolve_visibility
 
 FRAME_ARRAYS = ("preference", "presence", "preference_hat", "presence_hat",
-                "distances", "forced", "blocked", "mask",
+                "distances", "forced", "blocked", "forced_occluded", "mask",
                 "raw_preference", "raw_presence")
 
 
@@ -41,6 +43,38 @@ def test_build_episode_frames_matches_build_frame(room, target):
                                 room.presence[target],
                                 room.interfaces_mr)
         assert_frames_equal(reference, fast)
+
+
+def test_build_room_frames_matches_build_frame(room):
+    """Mixed MR (0, 7, 13) and VR (2) targets batched as rooms."""
+    targets = [0, 2, 7, 13]
+    for t in range(room.horizon + 1):
+        graphs = [room.dog(target).snapshots[t] for target in targets]
+        frames = build_room_frames(
+            [t] * len(targets), targets, graphs,
+            [room.preference[target] for target in targets],
+            [room.presence[target] for target in targets],
+            [room.interfaces_mr] * len(targets))
+        for target, graph, fast in zip(targets, graphs, frames):
+            reference = build_frame(t, target, graph,
+                                    room.preference[target],
+                                    room.presence[target],
+                                    room.interfaces_mr)
+            assert_frames_equal(reference, fast)
+
+
+@pytest.mark.parametrize("target", [0, 2, 13])
+def test_forced_occluded_is_the_dense_physical_term(room, target):
+    """With nothing rendered, the dense resolver hides exactly the
+    forced users that ``forced_occluded`` marks."""
+    frames = room.episode_frames(target)
+    nothing = np.zeros(room.num_users, dtype=bool)
+    for frame in frames:
+        seen = resolve_visibility(frame.graph, nothing, frame.forced)
+        np.testing.assert_array_equal(frame.forced_occluded,
+                                      frame.forced & ~seen)
+    assert any(frame.forced_occluded.any() for frame in frames) \
+        == bool(room.interfaces_mr[target])
 
 
 def test_problem_episode_frames_match_frame_at(room):

@@ -134,6 +134,25 @@ def test_convert_rooms_matches_per_room_convert(seed, kwargs):
             graphs[b])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"view_limit": 3.0},
+    {"fov": 2.0},
+    {"view_limit": 3.0, "fov": 1.5},
+])
+def test_batched_adjacency_is_symmetric(kwargs):
+    """The visibility kernel reads adjacency rows in place of columns."""
+    rng = np.random.default_rng(11)
+    positions = rng.uniform(-5, 5, size=(4, 25, 2))
+    converter = BatchedOcclusionConverter(**kwargs)
+    rooms = converter.convert_rooms(positions, [0, 3, 9, 24], facing=0.7)
+    np.testing.assert_array_equal(rooms.adjacency,
+                                  rooms.adjacency.transpose(0, 2, 1))
+    frame = converter.convert_frame(positions[0], range(25), facing=0.7)
+    np.testing.assert_array_equal(frame.adjacency,
+                                  frame.adjacency.transpose(0, 2, 1))
+
+
 def test_convert_rooms_chunked_kernel_matches():
     """Room batches larger than one kernel chunk stay bit-identical."""
     import repro.geometry.batched as batched_module

@@ -7,6 +7,7 @@ from repro.geometry import (
     OcclusionGraphConverter,
     forced_presence_mask,
     occlusion_rate,
+    physical_cover,
     resolve_episode_visibility,
     resolve_visibility,
     resolve_visibility_with_occlusion,
@@ -65,7 +66,13 @@ def test_episode_resolution_matches_per_step(seed):
     forced = forced_presence_mask(rng.random(count) < 0.5, target)
     rendered = rng.random((horizon, count)) < 0.3
 
-    visible, rates = resolve_episode_visibility(graphs, rendered, forced)
+    cover = physical_cover([graph.adjacency for graph in graphs],
+                           np.stack([graph.distances for graph in graphs]),
+                           np.broadcast_to(forced, rendered.shape),
+                           graphs[0].body_radius)
+    visible, rates = resolve_episode_visibility(graphs, rendered, forced,
+                                                cover & ~forced,
+                                                cover & forced)
     assert visible.shape == (horizon, count)
     assert rates.shape == (horizon,)
     for t in range(horizon):
