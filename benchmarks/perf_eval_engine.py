@@ -1,9 +1,12 @@
-"""Perf harness for the multi-target evaluation engine.
+"""Perf harness for multi-target evaluation.
 
-Times the ways of evaluating one recommender for many targets of a room
-— the per-target reference engine and the batched/cached engine, cold
-and with warm caches — asserts that all produce identical metrics, and
-writes the measurements to ``BENCH_eval_engine.json``.
+Times two ways of evaluating one recommender for many targets of a room
+— per-target :func:`~repro.serving.stream_episode`, the per-step walk
+left in ``src/``, and :func:`~repro.core.evaluation.evaluate_targets`
+(batched occlusion graphs, cached episode frames, one visibility
+resolution per episode), cold and with warm caches — asserts that all
+produce identical metrics, and writes the measurements to
+``BENCH_eval_engine.json``.
 
 Run directly::
 
@@ -14,7 +17,7 @@ or as a benchmark test::
     PYTHONPATH=src pytest benchmarks/test_eval_engine.py
 
 Scaled to N = 128 users, T = 50 steps, 16 targets by default (the
-engine's acceptance scenario); ``REPRO_PERF_TINY=1`` shrinks it to a
+acceptance scenario); ``REPRO_PERF_TINY=1`` shrinks it to a
 seconds-long CI smoke run that skips the speedup floor and writes its
 record under the run directory, so it never overwrites the committed
 full-scale record at the repo root.
@@ -38,44 +41,25 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
+from bench_paths import default_run_dir, result_path
 from repro.bench.experiments import room_config_for
 from repro.bench import BenchConfig
-from repro.core.evaluation import evaluate_targets
+from repro.core import AfterProblem
+from repro.core.evaluation import AggregateResult, evaluate_targets
 from repro.datasets import generate_room
 from repro.models import NearestRecommender
 from repro.obs import PERF, TRACER, write_chrome_trace
+from repro.serving import stream_episode
 
 __all__ = ["EngineBenchConfig", "run_eval_engine_bench", "main"]
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval_engine.json"
+RECORD_NAME = "BENCH_eval_engine.json"
 
-
-def default_run_dir() -> Path:
-    """Where bench artifacts land: ``REPRO_RUN_DIR`` when set, else the
-    repo's gitignored ``runs/`` directory — never the repo root."""
-    run_dir = os.environ.get("REPRO_RUN_DIR")
-    if run_dir:
-        return Path(run_dir)
-    return Path(__file__).resolve().parent.parent / "runs"
-
-
-def default_trace_path() -> Path:
-    """Where the Perfetto trace lands: the bench run directory."""
-    return default_run_dir() / "trace.json"
-
-
-def result_path(config: "EngineBenchConfig") -> Path:
-    """The committed record at full scale; the run directory's copy for
-    a tiny run, which must never overwrite the committed one."""
-    return default_run_dir() / RESULT_PATH.name if config.is_tiny \
-        else RESULT_PATH
-
-#: Acceptance floor: the batched engine must beat the reference engine
-#: by at least this factor at the default scale.
+#: Acceptance floor: ``evaluate_targets`` must beat per-target
+#: ``stream_episode`` by at least this factor at the default scale.
 SPEEDUP_FLOOR = 3.0
 
 
@@ -117,8 +101,16 @@ def _episode_fingerprint(result) -> list:
              e.recommendations.tobytes()) for e in result.episodes]
 
 
-def _time_engine(config: EngineBenchConfig, targets, *, engine: str,
-                 warm: bool = False):
+def _stream_targets(room, recommender, targets, *, max_render: int):
+    """Each target streamed frame by frame through a serial session."""
+    return AggregateResult.from_episodes([
+        stream_episode(AfterProblem(room, target, max_render=max_render),
+                       recommender)
+        for target in targets])
+
+
+def _best_of(config: EngineBenchConfig, targets, evaluate, *,
+             warm: bool = False):
     """Best-of-``repeats`` wall time plus the run's aggregate result.
 
     Every repeat starts from a freshly generated room (cold caches)
@@ -132,18 +124,17 @@ def _time_engine(config: EngineBenchConfig, targets, *, engine: str,
         recommender = NearestRecommender()
         if warm:
             evaluate_targets(room, recommender, targets,
-                             max_render=config.max_render, engine="batched")
+                             max_render=config.max_render)
         start = time.perf_counter()
-        result = evaluate_targets(room, recommender, targets,
-                                  max_render=config.max_render,
-                                  engine=engine)
+        result = evaluate(room, recommender, targets,
+                          max_render=config.max_render)
         best = min(best, time.perf_counter() - start)
     return best, result
 
 
 def run_eval_engine_bench(config: EngineBenchConfig | None = None,
                           trace_path=None) -> dict:
-    """Run all engine variants and return the comparison record.
+    """Run every evaluation variant and return the comparison record.
 
     ``trace_path`` (optional) names a file for the Perfetto trace of
     the instrumented pass — nested spans down to per-episode phases.
@@ -154,16 +145,15 @@ def run_eval_engine_bench(config: EngineBenchConfig | None = None,
                      _fresh_room(config).sample_targets(config.num_targets,
                                                         rng))
 
-    reference_s, reference = _time_engine(config, targets,
-                                          engine="reference")
-    batched_s, batched = _time_engine(config, targets, engine="batched")
+    stream_s, streamed = _best_of(config, targets, _stream_targets)
+    batched_s, batched = _best_of(config, targets, evaluate_targets)
 
     # Separate untimed pass for the instrumentation breakdown and the
     # trace, so the timed batched run pays no collection overhead.
     PERF.reset().enable()
     TRACER.reset().enable()
     evaluate_targets(_fresh_room(config), NearestRecommender(), targets,
-                     max_render=config.max_render, engine="batched")
+                     max_render=config.max_render)
     instrumentation = PERF.report()
     PERF.disable()
     TRACER.disable()
@@ -171,23 +161,22 @@ def run_eval_engine_bench(config: EngineBenchConfig | None = None,
         write_chrome_trace(trace_path, TRACER.spans,
                            process_labels={os.getpid(): "eval-engine"})
 
-    warm_s, warm = _time_engine(config, targets, engine="batched",
-                                warm=True)
+    warm_s, warm = _best_of(config, targets, evaluate_targets, warm=True)
 
-    fingerprint = _episode_fingerprint(reference)
+    fingerprint = _episode_fingerprint(streamed)
     identical = all(_episode_fingerprint(r) == fingerprint
                     for r in (batched, warm))
 
     return {
         "config": asdict(config),
         "timings_s": {
-            "reference_serial": reference_s,
+            "stream_serial": stream_s,
             "batched": batched_s,
             "batched_warm_caches": warm_s,
         },
         "speedup": {
-            "batched_vs_reference": reference_s / batched_s,
-            "warm_vs_reference": reference_s / warm_s,
+            "batched_vs_stream": stream_s / batched_s,
+            "warm_vs_stream": stream_s / warm_s,
         },
         "metrics_identical": bool(identical),
         "instrumentation": instrumentation,
@@ -196,27 +185,27 @@ def run_eval_engine_bench(config: EngineBenchConfig | None = None,
 
 def main() -> dict:
     config = EngineBenchConfig.from_env()
-    trace_path = default_trace_path()
+    trace_path = default_run_dir() / "trace.json"
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     record = run_eval_engine_bench(config, trace_path=trace_path)
-    path = result_path(config)
+    path = result_path(RECORD_NAME, config.is_tiny)
     path.write_text(json.dumps(record, indent=2) + "\n")
 
     timings = record["timings_s"]
-    speedup = record["speedup"]["batched_vs_reference"]
+    speedup = record["speedup"]["batched_vs_stream"]
     print(f"evaluation engine @ N={config.num_users} T={config.num_steps} "
           f"targets={config.num_targets}")
     for name, seconds in timings.items():
         print(f"  {name:28s} {seconds * 1000.0:9.1f} ms")
     print(f"  speedup (batched cold)       {speedup:9.2f}x")
     print(f"  speedup (batched warm)       "
-          f"{record['speedup']['warm_vs_reference']:9.2f}x")
+          f"{record['speedup']['warm_vs_stream']:9.2f}x")
     print(f"  metrics identical: {record['metrics_identical']}")
     print(f"wrote {path}")
     print(f"wrote {trace_path} (open at ui.perfetto.dev)")
 
     if not record["metrics_identical"]:
-        raise SystemExit("engines disagree on metrics")
+        raise SystemExit("evaluation paths disagree on metrics")
     if not config.is_tiny and speedup < SPEEDUP_FLOOR:
         raise SystemExit(f"speedup {speedup:.2f}x below the "
                          f"{SPEEDUP_FLOOR}x floor")

@@ -62,10 +62,9 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
-
 import numpy as np
 
+from bench_paths import default_run_dir, result_path, run_relative
 from repro.core.problem import AfterProblem
 from repro.datasets import RoomConfig, generate_room
 from repro.models import NearestRecommender
@@ -77,7 +76,7 @@ from repro.serving import (Fleet, ReplayDriver, RoomSession, SessionEngine,
 
 __all__ = ["ServingBenchConfig", "run_serving_bench", "main"]
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
+RECORD_NAME = "BENCH_serving.json"
 
 #: Acceptance floor: micro-batched streaming must beat serial
 #: one-room-at-a-time stepping by at least this factor at the default
@@ -126,32 +125,6 @@ def _available_cores() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:               # non-Linux fallback
         return max(1, os.cpu_count() or 1)
-
-
-def default_run_dir() -> Path:
-    """Where bench artifacts land: ``REPRO_RUN_DIR`` when set, else the
-    repo's gitignored ``runs/`` directory — never the repo root."""
-    run_dir = os.environ.get("REPRO_RUN_DIR")
-    if run_dir:
-        return Path(run_dir)
-    return Path(__file__).resolve().parent.parent / "runs"
-
-
-def default_trace_path() -> Path:
-    """The Perfetto trace's default location in the run directory."""
-    return default_run_dir() / "trace_serving.json"
-
-
-def default_telemetry_path() -> Path:
-    """The sampled telemetry series' default location."""
-    return default_run_dir() / "telemetry_serving.json"
-
-
-def result_path(config: "ServingBenchConfig") -> Path:
-    """The committed record at full scale; the run directory's copy for
-    a tiny run, which must never overwrite the committed one."""
-    return default_run_dir() / RESULT_PATH.name if config.is_tiny \
-        else RESULT_PATH
 
 
 @dataclass(frozen=True)
@@ -651,12 +624,18 @@ def main() -> dict:
     config = ServingBenchConfig.from_env()
     run_dir = default_run_dir()
     run_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = default_trace_path()
-    telemetry_path = default_telemetry_path()
+    trace_path = run_dir / "trace_serving.json"
+    telemetry_path = run_dir / "telemetry_serving.json"
     record = run_serving_bench(config, trace_path=trace_path,
                                telemetry_path=telemetry_path,
                                incident_root=run_dir / "incidents")
-    path = result_path(config)
+    # The record names run artifacts relative to the run directory.
+    slo = record["slo"]
+    if slo["bundle"] is not None:
+        slo["bundle"] = run_relative(slo["bundle"], run_dir)
+    record["telemetry"]["series_path"] = run_relative(
+        record["telemetry"]["series_path"], run_dir)
+    path = result_path(RECORD_NAME, config.is_tiny)
     path.write_text(json.dumps(record, indent=2) + "\n")
 
     speedup = record["speedup"]["engine_vs_serial"]
@@ -674,7 +653,6 @@ def main() -> dict:
     print(f"  overload shed rate           "
           f"{record['overload']['shed_rate']:9.1%}")
     print(f"  speedup (engine vs serial)   {speedup:9.2f}x")
-    slo = record["slo"]
     print(f"  slo breaches (forced)        {slo['breach_events']:9d}  "
           f"({', '.join(slo['breached_rules'])})")
     print(f"  incident bundle              {slo['bundle']}  "

@@ -51,10 +51,9 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
-
 import numpy as np
 
+from bench_paths import default_run_dir, result_path
 from repro.core import AfterProblem
 from repro.datasets import RoomConfig, generate_timik_room
 from repro.models import POSHGNN
@@ -62,7 +61,7 @@ from repro.models.poshgnn.trainer import POSHGNNTrainer
 
 __all__ = ["TrainingBenchConfig", "run_training_bench", "main"]
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_training.json"
+RECORD_NAME = "BENCH_training.json"
 
 #: Acceptance floor: batched training with replay must beat the serial
 #: per-episode loop by at least this factor at the default scale.
@@ -97,22 +96,6 @@ class TrainingBenchConfig:
     def room_steps(self) -> int:
         """Room-steps per full run: rooms x timesteps x epochs."""
         return self.num_rooms * (self.num_steps + 1) * self.epochs
-
-
-def default_run_dir() -> Path:
-    """Where bench artifacts land: ``REPRO_RUN_DIR`` when set, else the
-    repo's gitignored ``runs/`` directory — never the repo root."""
-    run_dir = os.environ.get("REPRO_RUN_DIR")
-    if run_dir:
-        return Path(run_dir)
-    return Path(__file__).resolve().parent.parent / "runs"
-
-
-def result_path(config: TrainingBenchConfig) -> Path:
-    """The committed record at full scale; the run directory's copy for
-    a tiny run, which must never overwrite the committed one."""
-    return default_run_dir() / RESULT_PATH.name if config.is_tiny \
-        else RESULT_PATH
 
 
 def _problems(config: TrainingBenchConfig) -> list:
@@ -232,7 +215,7 @@ def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
     }
     (run_dir / "training_bench_histories.json").write_text(
         json.dumps(histories, indent=2) + "\n")
-    (run_dir / "BENCH_training.json").write_text(
+    (run_dir / RECORD_NAME).write_text(
         json.dumps(record, indent=2) + "\n")
 
     if not config.is_tiny:
@@ -262,7 +245,7 @@ def main() -> dict:
     print(f"  replay: {stats['records']} records, {stats['replays']} "
           f"replays, {stats['fused_chains']} fused chains, "
           f"{stats['instructions']}/{stats['recorded_nodes']} instructions")
-    path = result_path(config)
+    path = result_path(RECORD_NAME, config.is_tiny)
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
     return record

@@ -47,7 +47,6 @@ class BenchConfig:
     beta: float = 0.5             # paper default
     max_render: int = 8
     seed: int = 0
-    eval_engine: str = "batched"  # "batched" | "reference"
     run_dir: str | None = None    # training checkpoints + run manifests
     extra: dict = field(default_factory=dict)
 
@@ -65,8 +64,6 @@ class BenchConfig:
             env_name = f"REPRO_BENCH_{name.upper()}"
             if os.environ.get(env_name):
                 overrides[name] = _env_int(env_name, getattr(config, name))
-        if os.environ.get("REPRO_BENCH_EVAL_ENGINE"):
-            overrides["eval_engine"] = os.environ["REPRO_BENCH_EVAL_ENGINE"]
         if os.environ.get("REPRO_RUN_DIR"):
             overrides["run_dir"] = os.environ["REPRO_RUN_DIR"]
         return replace(config, **overrides) if overrides else config

@@ -159,8 +159,7 @@ def _fit_and_evaluate(room, methods: dict, train_targets, eval_targets,
         with PERF.scope(f"bench.evaluate.{name}", {"method": name}):
             results[name] = evaluate_targets(room, method, eval_targets,
                                              beta=config.beta,
-                                             max_render=config.max_render,
-                                             engine=config.eval_engine)
+                                             max_render=config.max_render)
     return results
 
 

@@ -1,21 +1,24 @@
-"""Episode evaluation harness.
+"""Episode evaluation harness: the one offline path.
 
-Walks an :class:`AfterProblem` step by step, timing each ``recommend``
-call, resolving visibility (including forced MR presence), and
-accumulating the paper's five reported metrics: AFTER utility, preference,
-social presence, view-occlusion rate, and running time per step.
+:func:`evaluate_episode` walks an :class:`AfterProblem`'s episode,
+timing each ``recommend`` call, resolving visibility (including forced
+MR presence), and accumulating the paper's five reported metrics: AFTER
+utility, preference, social presence, view-occlusion rate, and running
+time per step.  The metrics are defined per step; the walk computes them
+per episode:
 
-Two engines produce identical metrics:
+* frames come from :meth:`AfterProblem.episode_frames` (the room's
+  frame cache, or a private copy for block/allow-list problems),
+  assembled in vectorised passes over the target's occlusion graphs;
+* every render mask is collected first, and visibility is resolved once
+  for the whole episode from the rendered avatars' adjacency rows.
 
-* ``"reference"`` — :func:`evaluate_episode`: one frame build and two
-  visibility resolutions per step, exactly as the metrics are defined.
-* ``"batched"`` — shares occlusion graphs and frames across
-  recommenders through the room caches (prebuilt with the batched
-  all-targets converter), assembles episode frames in vectorised
-  passes, and resolves visibility once per episode from the rendered
-  avatars' adjacency rows.  Every array it produces is bit-identical to
-  the reference path; ``tests/core/test_engine_determinism.py`` asserts
-  it.
+:func:`evaluate_targets` prebuilds a room's occlusion graphs for all its
+targets with the batched converter, then walks each target's episode.
+The per-step definition lives in ``tests/oracles.py`` as an oracle built
+from the dense per-step pieces; the streaming
+:class:`~repro.serving.RoomSession` is the other per-step walk, and the
+parity suites pin all three bit for bit.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import occlusion_rate, resolve_episode_visibility, \
-    resolve_visibility
+from ..geometry import resolve_episode_visibility
 from ..obs import DEFAULT_VALUE_BOUNDARIES, PERF
 from .problem import AfterProblem
-from .recommender import Recommender
-from .utility import StepUtility, UtilityAccumulator, step_utility
+from .recommender import Recommender, checked_render_mask
+from .utility import UtilityAccumulator, step_utility
 
 __all__ = ["EpisodeResult", "AggregateResult", "evaluate_episode",
            "evaluate_targets"]
@@ -106,97 +108,27 @@ class AggregateResult:
         return np.array([e.after_utility for e in self.episodes])
 
 
-def _observe_step(util: StepUtility, beta: float, recommend_s: float,
-                  graph) -> None:
-    """Fold one step's metrics into the PERF histograms.
-
-    Only called while collection is enabled; the adjacency reduction is
-    the price of the occlusion-graph-size distribution, so it must stay
-    off the disabled path.
-    """
-    PERF.observe("eval.recommend_s", recommend_s)
-    PERF.observe("eval.step_after_utility", util.after(beta),
-                 boundaries=DEFAULT_VALUE_BOUNDARIES)
-    PERF.observe("eval.graph_edges", int(graph.adjacency.sum()) // 2,
-                 boundaries=DEFAULT_VALUE_BOUNDARIES)
-
-
 def evaluate_episode(problem: AfterProblem,
                      recommender: Recommender) -> EpisodeResult:
     """Run ``recommender`` over the full episode of ``problem``.
 
-    This is the reference engine: frames are assembled per step and
-    visibility is resolved exactly as each metric is defined.
-    """
-    recommender.reset(problem)
-    accumulator = UtilityAccumulator(problem.beta)
-    occlusion_rates: list[float] = []
-    runtimes: list[float] = []
-    recommendations = np.zeros(
-        (problem.horizon + 1, problem.num_users), dtype=bool)
-    visible_previous = np.zeros(problem.num_users, dtype=bool)
-
-    with PERF.scope("eval.episode", {"target": int(problem.target),
-                                     "engine": "reference"}):
-        for t in range(problem.horizon + 1):
-            with PERF.scope("eval.frame"):
-                frame = problem.frame_at(t)
-            start = time.perf_counter()
-            rendered = np.asarray(recommender.recommend(frame), dtype=bool)
-            elapsed = time.perf_counter() - start
-            runtimes.append(elapsed)
-            PERF.add_time("eval.recommend", elapsed)
-
-            rendered = rendered.copy()
-            rendered[problem.target] = False
-            recommendations[t] = rendered
-
-            with PERF.scope("eval.visibility"):
-                visible = resolve_visibility(frame.graph, rendered,
-                                             frame.forced)
-                occlusion_rates.append(occlusion_rate(frame.graph, rendered,
-                                                      frame.forced))
-            util = step_utility(frame.preference, frame.presence,
-                                visible, visible_previous, rendered)
-            accumulator.add(util)
-            visible_previous = visible
-            if PERF.enabled:
-                _observe_step(util, problem.beta, elapsed, frame.graph)
-    PERF.count("eval.steps", problem.horizon + 1)
-    PERF.count("eval.episodes")
-
-    return EpisodeResult(
-        after_utility=accumulator.total_after,
-        preference=accumulator.total_preference,
-        presence=accumulator.total_presence,
-        occlusion_rate=float(np.mean(occlusion_rates)),
-        runtime_ms=float(np.mean(runtimes) * 1000.0),
-        per_step_after=accumulator.per_step_after(),
-        recommendations=recommendations,
-    )
-
-
-def _evaluate_episode_fast(problem: AfterProblem,
-                           recommender: Recommender) -> EpisodeResult:
-    """The batched engine's episode walk.
-
-    Identical metrics to :func:`evaluate_episode`: the prebuilt frames
-    equal the per-step builds array-for-array, and the episode-level
-    visibility resolution equals the two per-step resolutions.  The
-    recommender API never observes visibility — ``recommend`` sees only
-    the frame — so collecting all render masks first and resolving
-    visibility for the whole episode afterwards walks the exact same
-    computation.
+    Walks the problem's cached episode frames, timing each
+    ``recommend`` call, then resolves visibility for the whole episode
+    at once from the rendered avatars' adjacency rows.  The recommender
+    API never observes visibility — ``recommend`` sees only the frame —
+    so collecting every render mask first computes exactly the per-step
+    definitions; ``tests/oracles.py`` holds that per-step walk and the
+    suites check the two agree bit for bit.  A ``recommend`` result
+    that is not one flag per user raises ``ValueError``.
     """
     recommender.reset(problem)
     accumulator = UtilityAccumulator(problem.beta)
     runtimes: list[float] = []
-    recommendations = np.zeros(
-        (problem.horizon + 1, problem.num_users), dtype=bool)
-    visible_previous = np.zeros(problem.num_users, dtype=bool)
+    count = problem.num_users
+    recommendations = np.zeros((problem.horizon + 1, count), dtype=bool)
+    visible_previous = np.zeros(count, dtype=bool)
 
-    with PERF.scope("eval.episode", {"target": int(problem.target),
-                                     "engine": "batched"}):
+    with PERF.scope("eval.episode", {"target": int(problem.target)}):
         with PERF.scope("eval.episode_frames"):
             frames = problem.episode_frames()
 
@@ -206,7 +138,8 @@ def _evaluate_episode_fast(problem: AfterProblem,
                 rendered = recommender.recommend(frame)
                 elapsed = time.perf_counter() - start
                 runtimes.append(elapsed)
-                recommendations[frame.t] = rendered
+                recommendations[frame.t] = checked_render_mask(
+                    rendered, count, recommender)
                 if PERF.enabled:
                     PERF.observe("eval.recommend_s", elapsed)
         recommendations[:, problem.target] = False
@@ -246,38 +179,25 @@ def _evaluate_episode_fast(problem: AfterProblem,
     )
 
 
-_ENGINES = ("batched", "reference")
-
-
 def evaluate_targets(room, recommender: Recommender, targets,
-                     beta: float = 0.5, max_render: int = 8, *,
-                     engine: str = "batched") -> AggregateResult:
+                     beta: float = 0.5,
+                     max_render: int = 8) -> AggregateResult:
     """Evaluate one recommender for several target users of a room.
 
-    Parameters
-    ----------
-    engine:
-        ``"batched"`` (default) shares graphs/frames through the room
-        caches and resolves visibility once per step; ``"reference"``
-        evaluates every target from scratch.  Both produce identical
-        metrics.
+    Builds every target's occlusion graph in one batched pass, then
+    runs :func:`evaluate_episode` per target; the room caches share
+    graphs and frames with later recommenders on the same room.
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected {_ENGINES}")
     targets = [int(target) for target in np.asarray(targets).ravel()]
     if not targets:
         # An online caller's room can drain to zero targets: report NaN
         # metrics instead of failing the aggregation.
         return AggregateResult.empty()
-    evaluate = _evaluate_episode_fast if engine == "batched" \
-        else evaluate_episode
-    with PERF.scope("eval.targets", {"engine": engine,
-                                     "num_targets": len(targets)}):
-        if engine == "batched":
-            with PERF.scope("eval.prebuild_dogs"):
-                room.prebuild_dogs(targets)
-        episodes = [evaluate(AfterProblem(room, target, beta=beta,
-                                          max_render=max_render),
-                             recommender)
+    with PERF.scope("eval.targets", {"num_targets": len(targets)}):
+        with PERF.scope("eval.prebuild_dogs"):
+            room.prebuild_dogs(targets)
+        episodes = [evaluate_episode(AfterProblem(room, target, beta=beta,
+                                                  max_render=max_render),
+                                     recommender)
                     for target in targets]
     return AggregateResult.from_episodes(episodes)

@@ -86,20 +86,20 @@ class AfterProblem:
         return self._dog
 
     def frame_at(self, t: int) -> Frame:
-        """Assemble the frame for step ``t``."""
+        """The frame for step ``t``, from :meth:`episode_frames`."""
         if not 0 <= t <= self.horizon:
             raise IndexError(f"step {t} outside horizon {self.horizon}")
-        return self.frame_from_graph(t, self.dog[t])
+        return self.episode_frames()[t]
 
     def frame_from_graph(self, t: int, graph) -> Frame:
         """Assemble the step-``t`` frame around an externally built graph.
 
-        The one frame-assembly path shared by the offline engines (which
-        pass ``dog[t]``) and the streaming session engine (which builds
-        ``graph`` incrementally from live positions): raw utility rows,
-        MIA preprocessing and block/allow-list pruning are applied
-        identically, so a streamed step sees bit-identical frame
-        contents to :meth:`frame_at` whenever the graphs are equal.
+        The streaming path's frame assembly: a
+        :class:`~repro.serving.RoomSession` builds ``graph`` from live
+        positions and gets raw utility rows, MIA preprocessing and
+        block/allow-list pruning applied here.  The result equals
+        :meth:`frame_at` array for array whenever the graphs are equal
+        (``tests/core/test_episode_oracle.py`` pins it).
         """
         frame = build_frame(
             t=t,
@@ -135,11 +135,12 @@ class AfterProblem:
     def episode_frames(self) -> list:
         """All frames for t = 0..T, built in one vectorised pass.
 
-        Identical frame contents to :meth:`frame_at` per step, but
-        assembled via :func:`~repro.core.scene.build_episode_frames`.
-        Plain problems share the room-level frame cache (frames depend
-        only on room and target); block/allow-list problems build a
-        private copy, because the list pruning mutates the frames.
+        Assembled via :func:`~repro.core.scene.build_episode_frames`;
+        every offline consumer (:meth:`frame_at`, evaluation, training)
+        reads these.  Plain problems share the room-level frame cache
+        (frames depend only on room and target); block/allow-list
+        problems build a private copy, because the list pruning mutates
+        the frames.
         """
         if self._frames is None:
             if self.blocklist or self.allowlist is not None:

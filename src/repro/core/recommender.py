@@ -13,7 +13,8 @@ import numpy as np
 from .problem import AfterProblem
 from .scene import Frame
 
-__all__ = ["Recommender", "top_k_mask", "scores_to_recommendation"]
+__all__ = ["Recommender", "top_k_mask", "scores_to_recommendation",
+           "checked_render_mask"]
 
 
 def top_k_mask(scores: np.ndarray, k: int,
@@ -45,6 +46,23 @@ def scores_to_recommendation(scores: np.ndarray, frame: Frame,
     eligible = np.isfinite(scores)
     return top_k_mask(np.where(eligible, scores, -np.inf), max_render,
                       eligible)
+
+
+def checked_render_mask(rendered, num_users: int,
+                        recommender) -> np.ndarray:
+    """``recommend``'s return value as a boolean mask over the roster.
+
+    A scalar or a mask of the wrong length would broadcast into the
+    episode's recommendation rows and render everyone (or no one)
+    without a word; it is refused with a ``ValueError`` naming
+    ``recommender``.  Non-bool masks are cast by truthiness.
+    """
+    rendered = np.asarray(rendered, dtype=bool)
+    if rendered.shape != (num_users,):
+        raise ValueError(
+            f"{recommender!r} returned a render mask of shape "
+            f"{rendered.shape}; expected ({num_users},)")
+    return rendered
 
 
 class Recommender:

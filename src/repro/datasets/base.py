@@ -131,16 +131,18 @@ class ConferenceRoom:
         return OcclusionGraphConverter(body_radius=self.body_radius)
 
     def dog(self, target: int) -> DynamicOcclusionGraph:
-        """Dynamic occlusion graph for ``target`` (cached per target)."""
+        """Dynamic occlusion graph for ``target`` (cached per target).
+
+        A cache miss builds through :meth:`prebuild_dogs`, so every DOG
+        of a room comes from the batched converter.
+        """
         cached = self._dog_cache.get(target)
         if cached is None:
             PERF.count("cache.dog.miss")
             EVENTS.emit("cache.dog.miss", room=self.name,
                         target=int(target))
-            with PERF.scope("room.build_dog"):
-                cached = DynamicOcclusionGraph.from_trajectory(
-                    self.trajectory.positions, target, self.converter())
-            self._dog_cache[target] = cached
+            self.prebuild_dogs([target])
+            cached = self._dog_cache[target]
         else:
             PERF.count("cache.dog.hit")
         return cached
@@ -148,10 +150,9 @@ class ConferenceRoom:
     def prebuild_dogs(self, targets) -> None:
         """Fill the DOG cache for many targets in one batched pass.
 
-        Uses :class:`~repro.geometry.BatchedOcclusionConverter`, which
-        produces graphs exactly equal to the per-target
-        :meth:`converter` path, so later :meth:`dog` calls are cache
-        hits regardless of which path built them.
+        Uses :class:`~repro.geometry.BatchedOcclusionConverter`, whose
+        graphs equal the per-target :meth:`converter` path exactly
+        (``tests/geometry/test_batched_equivalence.py``).
         """
         missing = np.array(sorted({int(t) for t in np.asarray(targets).ravel()}
                                   - set(self._dog_cache)), dtype=np.int64)

@@ -8,13 +8,12 @@ visibility indicator) must persist across those arrivals.
 
 :class:`RoomSession` is that carrier.  Each :meth:`step` builds the
 static occlusion graph for the *current* positions only, assembles the
-frame through :meth:`~repro.core.problem.AfterProblem.frame_from_graph`
-(the exact path the offline engines use), runs the recommender, resolves
-visibility and accumulates utility.  Because every per-step operation is
-shared with the reference engine, a streamed room is **bit-identical**
-to :func:`evaluate_episode` on the same trajectory — recommendations,
-utilities and carried state alike.  ``tests/serving/`` pins that
-contract with a hypothesis property suite.
+frame through :meth:`~repro.core.problem.AfterProblem.frame_from_graph`,
+runs the recommender, resolves visibility and accumulates utility —
+each metric exactly as it is defined per step.  A streamed room is
+**bit-identical** to :func:`evaluate_episode` on the same trajectory —
+recommendations, utilities and carried state alike.  ``tests/serving/``
+pins that contract with a hypothesis property suite.
 
 Sessions also support mid-stream :meth:`suspend`/:meth:`~RoomSession.resume`
 (handing a room to another engine without losing carried state) and
@@ -32,7 +31,8 @@ import numpy as np
 
 from ..core.evaluation import EpisodeResult
 from ..core.problem import AfterProblem
-from ..core.recommender import Recommender, top_k_mask
+from ..core.recommender import Recommender, checked_render_mask, \
+    top_k_mask
 from ..core.utility import StepUtility, UtilityAccumulator, step_utility
 from ..geometry import OcclusionGraphConverter
 from ..geometry.visibility import resolve_visibility_with_occlusion
@@ -136,7 +136,7 @@ class SessionStep:
     ``utility`` and ``occlusion_rate`` are unset (``None``/NaN) for shed
     steps — no frame was processed, the display simply froze.
     ``recommend_s`` times only the recommender call (the quantity the
-    offline engines report as ``runtime_ms``); ``latency_s`` is set by
+    offline evaluation reports as ``runtime_ms``); ``latency_s`` is set by
     the engine to the full submit-to-completion time including queueing.
     """
 
@@ -260,10 +260,10 @@ class RoomSession:
     def apply_graph(self, graph, *, degraded: bool = False) -> SessionStep:
         """Advance one frame whose occlusion graph was already built.
 
-        Mirrors one iteration of the reference episode loop exactly:
-        frame assembly via ``frame_from_graph``, recommender call,
-        target knocked out of the render mask, visibility + occlusion
-        resolution, utility accumulation, carried-state advance.
+        One step of the per-step definition: frame assembly via
+        ``frame_from_graph``, recommender call, target knocked out of
+        the render mask, visibility + occlusion resolution, utility
+        accumulation, carried-state advance.
         """
         frame = self.problem.frame_from_graph(self._t_next, graph)
         rendered, recommend_s = self.recommend_step(frame,
@@ -277,11 +277,11 @@ class RoomSession:
         """The recommender half of a step: ``(rendered, recommend_s)``.
 
         Runs the (primary or fallback) recommender on an assembled
-        frame and knocks the target out of the returned mask.  Split
-        from :meth:`complete_step` so the engine can finish steps with
-        *batched* visibility kernels; ``step``/``apply_graph`` compose
-        the same halves, so every path shares one recommender-invocation
-        sequence.
+        frame, refuses a mask that is not one flag per user, and knocks
+        the target out of it.  Split from :meth:`complete_step` so the
+        engine can finish steps with *batched* visibility kernels;
+        ``step``/``apply_graph`` compose the same halves, so every path
+        shares one recommender-invocation sequence.
         """
         if not self._started:
             raise RuntimeError(
@@ -293,7 +293,9 @@ class RoomSession:
         else:
             rendered = self.recommender.recommend(frame)
         recommend_s = time.perf_counter() - start
-        rendered = np.asarray(rendered, dtype=bool).copy()
+        rendered = checked_render_mask(
+            rendered, self.problem.num_users,
+            self.fallback if degraded else self.recommender).copy()
         rendered[self.problem.target] = False
         return rendered, recommend_s
 
@@ -618,7 +620,7 @@ def stream_episode(problem: AfterProblem,
                    recommender: Recommender) -> EpisodeResult:
     """Stream one problem's full trajectory through a serial session.
 
-    Convenience driver for tests and parity checks: feeds
+    The per-step walk left in ``src/``, used as a parity check: feeds
     ``problem.room.trajectory`` frame by frame and returns the episode
     result — bit-identical recommendations and utilities to
     :func:`~repro.core.evaluation.evaluate_episode`.

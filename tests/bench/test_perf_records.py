@@ -2,9 +2,12 @@
 
 Each ``benchmarks/perf_*.py`` harness writes its ``BENCH_*.json`` record
 at the repo root only at full scale; under ``REPRO_PERF_TINY=1`` the
-record goes to the run directory (``REPRO_RUN_DIR``) instead.
+record goes to the run directory (``REPRO_RUN_DIR``) instead.  A record
+names run artifacts relative to the run directory, never by an absolute
+path.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +37,19 @@ def test_tiny_run_leaves_root_record_unchanged(tmp_path, script, record):
     after = committed.read_bytes() if committed.exists() else None
     assert after == before
     assert (tmp_path / record).exists()
+    document = json.loads((tmp_path / record).read_text())
+    absolute = [text for text in _strings(document) if os.path.isabs(text)]
+    assert absolute == []
+
+
+def _strings(node):
+    """Every string key and value in a JSON document."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)

@@ -1,9 +1,9 @@
-"""Determinism and equivalence of the batched evaluation engine.
+"""Determinism of the evaluation walk and its equality with the oracle.
 
-The batched engine and the reference engine must produce *identical*
-metrics (everything except wall-clock
-``runtime_ms``), episode by episode.  Also pins the vectorised
-``EpisodeResult.continuity`` against its loop definition.
+``evaluate_targets``/``evaluate_episode`` must produce *identical*
+metrics (everything except wall-clock ``runtime_ms``) to the per-step
+oracle in ``tests/oracles.py``, episode by episode.  Also pins the
+vectorised ``EpisodeResult.continuity`` against its loop definition.
 """
 
 import numpy as np
@@ -12,12 +12,12 @@ import pytest
 from repro.core import AfterProblem
 from repro.core.evaluation import (
     EpisodeResult,
-    _evaluate_episode_fast,
     evaluate_episode,
     evaluate_targets,
 )
 from repro.datasets import RoomConfig, generate_room
 from repro.models import NearestRecommender, RandomRecommender
+from tests.oracles import episode_oracle, targets_oracle
 
 TARGETS = [0, 3, 7, 12, 19]
 
@@ -49,10 +49,8 @@ def assert_aggregates_identical(a, b):
 @pytest.mark.parametrize("recommender_cls", [NearestRecommender,
                                              RandomRecommender])
 def test_batched_engine_matches_reference(recommender_cls):
-    reference = evaluate_targets(fresh_room(), recommender_cls(), TARGETS,
-                                 engine="reference")
-    batched = evaluate_targets(fresh_room(), recommender_cls(), TARGETS,
-                               engine="batched")
+    reference = targets_oracle(fresh_room(), recommender_cls(), TARGETS)
+    batched = evaluate_targets(fresh_room(), recommender_cls(), TARGETS)
     assert_aggregates_identical(reference, batched)
 
 
@@ -66,24 +64,18 @@ def test_warm_caches_do_not_change_results():
 def test_listed_problems_match_reference_and_do_not_poison_cache():
     room_ref, room_fast = fresh_room(), fresh_room()
     kwargs = {"blocklist": [1, 2], "allowlist": range(18)}
-    reference = evaluate_episode(AfterProblem(room_ref, 3, **kwargs),
-                                 NearestRecommender())
-    fast = _evaluate_episode_fast(AfterProblem(room_fast, 3, **kwargs),
-                                  NearestRecommender())
+    reference = episode_oracle(AfterProblem(room_ref, 3, **kwargs),
+                               NearestRecommender())
+    fast = evaluate_episode(AfterProblem(room_fast, 3, **kwargs),
+                            NearestRecommender())
     assert_episodes_identical(reference, fast)
 
     # The room-level frame cache must be untouched by list pruning.
-    plain_ref = evaluate_episode(AfterProblem(room_ref, 3),
-                                 NearestRecommender())
-    plain_fast = _evaluate_episode_fast(AfterProblem(room_fast, 3),
-                                        NearestRecommender())
+    plain_ref = episode_oracle(AfterProblem(room_ref, 3),
+                               NearestRecommender())
+    plain_fast = evaluate_episode(AfterProblem(room_fast, 3),
+                                  NearestRecommender())
     assert_episodes_identical(plain_ref, plain_fast)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        evaluate_targets(fresh_room(), NearestRecommender(), [0],
-                         engine="turbo")
 
 
 def _loop_continuity(recommendations):

@@ -17,8 +17,7 @@ from repro.core.evaluation import AggregateResult
 from repro.crowd.simulator import Trajectory
 from repro.datasets import RoomConfig, generate_timik_room
 from repro.models.baselines import NearestRecommender
-
-ENGINES = ("reference", "batched")
+from tests.oracles import targets_oracle
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +35,8 @@ def single_frame_room(room):
         _dog_cache={}, _frame_cache={})
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_empty_target_list(room, engine):
-    result = evaluate_targets(room, NearestRecommender(), [],
-                              engine=engine)
+def test_empty_target_list(room):
+    result = evaluate_targets(room, NearestRecommender(), [])
     assert result.episodes == []
     for metric in (result.after_utility, result.preference,
                    result.presence, result.occlusion_rate,
@@ -53,10 +50,9 @@ def test_empty_aggregate_is_well_formed():
     assert np.isnan(empty.after_utility)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_single_frame_episode(single_frame_room, engine):
+def test_single_frame_episode(single_frame_room):
     result = evaluate_targets(single_frame_room, NearestRecommender(),
-                              [0, 3, 7], engine=engine)
+                              [0, 3, 7])
     assert len(result.episodes) == 3
     for episode in result.episodes:
         assert episode.recommendations.shape == (
@@ -65,9 +61,10 @@ def test_single_frame_episode(single_frame_room, engine):
 
 
 def test_single_frame_matches_across_engines(single_frame_room):
-    reference = evaluate_targets(single_frame_room, NearestRecommender(),
-                                 [0, 3, 7], engine="reference")
+    """The episode walk and the per-step oracle agree on one frame."""
+    reference = targets_oracle(single_frame_room, NearestRecommender(),
+                               [0, 3, 7])
     batched = evaluate_targets(single_frame_room, NearestRecommender(),
-                               [0, 3, 7], engine="batched")
+                               [0, 3, 7])
     assert reference.after_utility == batched.after_utility
     assert reference.occlusion_rate == batched.occlusion_rate

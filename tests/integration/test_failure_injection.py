@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import AfterProblem, evaluate_episode
+from repro.core import AfterProblem, Recommender, evaluate_episode, \
+    evaluate_targets
 from repro.crowd import Trajectory
 from repro.datasets import ConferenceRoom, RoomConfig, generate_timik_room
 from repro.geometry import Room
 from repro.models import POSHGNN
+from repro.serving import stream_episode
 from repro.social import SocialGraph
 
 
@@ -111,6 +113,46 @@ class TestRecommenderMisbehaviour:
         problem = AfterProblem(room, target=0)
         with pytest.raises(AttributeError):
             model.recommend(problem.frame_at(0))
+
+
+class _FixedMask(Recommender):
+    """Returns the same (malformed) mask at every step."""
+
+    name = "fixed-mask"
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def recommend(self, frame):
+        return self.mask
+
+
+class TestMalformedRenderMasks:
+    """A render mask that is not one flag per user is refused by name.
+
+    Broadcasting a scalar or a length-1 mask into the episode's
+    recommendation rows used to render every user at every step.
+    """
+
+    MASKS = {"scalar": lambda n: True,
+             "length-1": lambda n: np.ones(1, dtype=bool),
+             "length-N+1": lambda n: np.ones(n + 1, dtype=bool)}
+
+    @pytest.fixture(params=sorted(MASKS))
+    def broken(self, request, room):
+        return _FixedMask(self.MASKS[request.param](room.num_users))
+
+    def test_evaluate_episode(self, room, broken):
+        with pytest.raises(ValueError, match="fixed-mask"):
+            evaluate_episode(AfterProblem(room, target=0), broken)
+
+    def test_evaluate_targets(self, room, broken):
+        with pytest.raises(ValueError, match="fixed-mask"):
+            evaluate_targets(room, broken, [0, 5])
+
+    def test_stream_episode(self, room, broken):
+        with pytest.raises(ValueError, match="fixed-mask"):
+            stream_episode(AfterProblem(room, target=0), broken)
 
 
 class TestDegenerateScenes:

@@ -20,8 +20,7 @@ def test_export_merge_round_trip_is_exact():
                          seed=4)
     PERF.reset().enable()
     try:
-        evaluate_targets(room, NearestRecommender(), TARGETS,
-                         engine="batched")
+        evaluate_targets(room, NearestRecommender(), TARGETS)
         state = PERF.export_state()
     finally:
         PERF.disable().reset()
