@@ -2,9 +2,7 @@
 
 A DOG ``O^v = (V, E^v, T)`` is the sequence of static occlusion graphs a
 target user sees over a traced horizon.  Besides container behaviour, this
-module computes the structural-difference features MIA consumes:
-
-``e^1 = (A_t - A_{t-1}) · 1``  and  ``e^2 = (A_t^2 - A_{t-1}^2) · 1``.
+module computes MIA's structural-difference features, :func:`structural_delta`.
 """
 
 from __future__ import annotations
@@ -18,23 +16,31 @@ from .occlusion import OcclusionGraphConverter, StaticOcclusionGraph
 __all__ = ["DynamicOcclusionGraph", "structural_delta"]
 
 
-def structural_delta(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """MIA's node embedding of inter-step structural change.
+def structural_delta(current: np.ndarray,
+                     previous: np.ndarray | None = None) -> np.ndarray:
+    """MIA's ``(N, 3)`` structural-change embedding ``[1 || e^1 || e^2]``.
 
-    Returns ``Delta_t = [e^0 || e^1 || e^2]`` of shape ``(N, 3)`` where
-    ``e^0`` is the all-one vector and ``e^k`` the difference in k-th order
-    propagation between consecutive adjacency matrices.  At ``t = 0`` the
-    previous adjacency is all-zero, so the deltas reduce to the current
-    graph's degree statistics.
+    ``e^k = (A_t^k - A_{t-1}^k) 1``; ``previous=None`` is the all-zero
+    ``A_{t-1}`` at ``t = 0``.  O(N^2), from degree vectors: ``d = A_t 1``,
+    ``e^1 = d - d_prev`` and ``e^2 = A_t d - A_{t-1} d_prev``.  For 0/1
+    adjacency every intermediate is an integer below ``2^53``, so each sum is
+    exact in any order: bit-identical to the dense ``(A_t^2 - A_{t-1}^2) 1``.
     """
+    return _delta_and_degree(current, previous)[0]
+
+
+def _delta_and_degree(current, previous):  # MIA reuses the degree ``A_t 1``
     current = np.asarray(current, dtype=np.float64)
-    previous = np.asarray(previous, dtype=np.float64)
-    if current.shape != previous.shape:
-        raise ValueError("adjacency shapes differ")
-    ones = np.ones(current.shape[0])
-    e1 = (current - previous) @ ones
-    e2 = (current @ current - previous @ previous) @ ones
-    return np.column_stack([ones, e1, e2])
+    ones = np.ones(len(current))
+    degree = current @ ones
+    e1, e2 = degree, current @ degree
+    if previous is not None:
+        previous = np.asarray(previous, dtype=np.float64)
+        if current.shape != previous.shape:
+            raise ValueError("adjacency shapes differ")
+        previous_degree = previous @ ones
+        e1, e2 = degree - previous_degree, e2 - previous @ previous_degree
+    return np.column_stack([ones, e1, e2]), degree
 
 
 @dataclass
@@ -93,7 +99,8 @@ class DynamicOcclusionGraph:
 
     def delta(self, t: int) -> np.ndarray:
         """``Delta_t`` structural-change embedding at step ``t``."""
-        return structural_delta(self.adjacency(t), self.adjacency(t - 1))
+        return structural_delta(self.adjacency(t),
+                                None if t <= 0 else self.adjacency(t - 1))
 
     def edge_change_counts(self) -> np.ndarray:
         """Number of edge insertions+deletions between consecutive steps.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...core.scene import Frame
-from ...geometry import structural_delta
+from ...geometry.dog import _delta_and_degree
 
 __all__ = ["MIA", "MIAOutput", "row_normalise"]
 
@@ -34,7 +34,7 @@ class MIAOutput:
     delta: np.ndarray         # Delta_t, (N, 3)
     mask: np.ndarray          # m_t, (N,)
     adjacency: np.ndarray     # A_t, (N, N) float (raw; used by the loss)
-    propagation: np.ndarray   # D^-1 A_t (row-normalised; used by the GNNs)
+    propagation: np.ndarray   # A_t / mean degree (used by the GNNs)
 
 
 def row_normalise(adjacency: np.ndarray) -> np.ndarray:
@@ -48,8 +48,11 @@ def row_normalise(adjacency: np.ndarray) -> np.ndarray:
     loss keeps the raw ``A_t``.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    mean_degree = float(adjacency.sum(axis=1).mean())
-    return adjacency / max(1.0, mean_degree)
+    return _scale_by_mean_degree(adjacency, adjacency.sum(axis=1))
+
+
+def _scale_by_mean_degree(adjacency, degree):
+    return adjacency / max(1.0, float(degree.mean()))
 
 
 class MIA:
@@ -78,20 +81,10 @@ class MIA:
     def process(self, frame: Frame) -> MIAOutput:
         """Aggregate one frame into model inputs and advance state."""
         adjacency = frame.graph.adjacency_float()
-        previous = (self._previous_adjacency
-                    if self._previous_adjacency is not None
-                    else np.zeros_like(adjacency))
-
-        if self.use_delta:
-            delta = structural_delta(adjacency, previous)
-            # Scale raw propagation counts into a stable input range.
-            scale = max(float(np.abs(delta[:, 1:]).max()), 1.0)
-            delta = np.column_stack([delta[:, 0], delta[:, 1:] / scale])
-        else:
-            delta = np.column_stack([
-                np.ones(adjacency.shape[0]),
-                np.zeros((adjacency.shape[0], 2)),
-            ])
+        delta, degree = _delta_and_degree(adjacency, self._previous_adjacency)
+        # Scale raw propagation counts into a stable input range.
+        delta[:, 1:] = (delta[:, 1:] / max(float(np.abs(delta[:, 1:]).max()),
+                                           1.0) if self.use_delta else 0.0)
 
         if self.use_normalised:
             features = frame.features()
@@ -104,4 +97,4 @@ class MIA:
         self._previous_adjacency = adjacency
         return MIAOutput(features=features, delta=delta, mask=mask,
                          adjacency=adjacency,
-                         propagation=row_normalise(adjacency))
+                         propagation=_scale_by_mean_degree(adjacency, degree))

@@ -10,7 +10,7 @@ guards, run manifests, event logs — lives in
 :class:`repro.training.engine.TrainingEngine` and is shared with the
 trainable baselines; this module supplies the POSHGNN-specific
 :class:`~repro.training.engine.TrainableSpec`: one truncated-BPTT
-episode over cached MIA-preprocessed frames, the POSHGNN loss with its
+episode over the cached episode frames, the POSHGNN loss with its
 resolved alpha, and the Adam optimiser state.  See docs/TRAINING.md:
 
 * **Checkpoint/resume** — with ``checkpoint_dir`` set, a versioned
@@ -283,8 +283,8 @@ class POSHGNNTrainer(TrainableSpec):
         window_loss = None
         steps_in_window = 0
 
-        # Frames are identical every epoch; the cached episode build
-        # amortises MIA preprocessing across epochs and training targets.
+        # Frames are cached across epochs, but MIA runs on every step of
+        # every epoch: caching its streams cost more peak RSS than it saved.
         with PERF.scope("train.episode_frames"):
             frames = problem.episode_frames()
 

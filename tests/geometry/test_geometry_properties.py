@@ -14,6 +14,8 @@ from repro.geometry import (
     structural_delta,
 )
 
+from tests.oracles import dense_structural_delta
+
 
 @st.composite
 def positions_strategy(draw, min_users=3, max_users=12):
@@ -85,8 +87,38 @@ def test_structural_delta_antisymmetry(positions, seed):
     b = converter.convert(other, 0).adjacency_float()
     forward = structural_delta(a, b)
     backward = structural_delta(b, a)
-    np.testing.assert_allclose(forward[:, 1:], -backward[:, 1:], atol=1e-9)
-    np.testing.assert_allclose(forward[:, 0], 1.0)
+    np.testing.assert_array_equal(forward[:, 1:], -backward[:, 1:])
+    np.testing.assert_array_equal(forward[:, 0], 1.0)
+
+
+@st.composite
+def binary_matrix_pair(draw):
+    """Two random 0/1 ``(N, N)`` matrices, symmetric or not, N up to 300."""
+    count = draw(st.integers(1, 300))
+    symmetric = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pair = []
+    for _ in range(2):
+        matrix = (rng.random((count, count))
+                  < draw(st.floats(0.0, 1.0))).astype(np.float64)
+        if symmetric:
+            matrix = np.triu(matrix, 1)
+            matrix = matrix + matrix.T
+        pair.append(matrix)
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_matrix_pair())
+def test_structural_delta_matches_dense_oracle_bytes(pair):
+    """Degree-vector deltas are byte-equal to the dense ``A^2`` form."""
+    current, previous = pair
+    assert (structural_delta(current, previous).tobytes()
+            == dense_structural_delta(current, previous).tobytes())
+    assert (structural_delta(current).tobytes()
+            == structural_delta(current, np.zeros_like(current)).tobytes()
+            == dense_structural_delta(current,
+                                      np.zeros_like(current)).tobytes())
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,10 @@
 """Test oracles: the paper's metrics computed exactly as they are defined.
 
+:func:`dense_structural_delta` is MIA's ``Delta_t`` with the two dense
+``A^2`` products of its definition, and :func:`mia_oracle` MIA's delta
+and propagation built on it; the production
+:func:`~repro.geometry.structural_delta` works from degree vectors.
+
 :func:`episode_oracle` walks an :class:`~repro.core.AfterProblem` one
 step at a time.  It shares no assembly code with the production walk,
 :func:`repro.core.evaluation.evaluate_episode` (cached episode frames,
@@ -26,6 +31,29 @@ import numpy as np
 from repro.core import AfterProblem, UtilityAccumulator, step_utility
 from repro.core.evaluation import AggregateResult, EpisodeResult
 from repro.geometry import occlusion_rate, resolve_visibility
+from repro.models.poshgnn.mia import row_normalise
+
+
+def dense_structural_delta(current: np.ndarray,
+                           previous: np.ndarray) -> np.ndarray:
+    """``[1 || (A_t - A_{t-1}) 1 || (A_t^2 - A_{t-1}^2) 1]``, O(N^3)."""
+    ones = np.ones(current.shape[0])
+    return np.column_stack([ones, (current - previous) @ ones,
+                            (current @ current - previous @ previous) @ ones])
+
+
+def mia_oracle(adjacency: np.ndarray, previous: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """MIA's scaled ``Delta_t`` and propagation matrix from the dense forms.
+
+    ``previous`` is MIA's ``A_{t-1}``; ``None`` before the first step.
+    """
+    if previous is None:
+        previous = np.zeros_like(adjacency)
+    delta = dense_structural_delta(adjacency, previous)
+    scale = max(float(np.abs(delta[:, 1:]).max()), 1.0)
+    delta = np.column_stack([delta[:, 0], delta[:, 1:] / scale])
+    return delta, row_normalise(adjacency)
 
 
 def episode_oracle(problem: AfterProblem, recommender) -> EpisodeResult:
