@@ -1,24 +1,17 @@
 #!/usr/bin/env python
 """Perf harness for the batched multi-room BPTT training path.
 
-Trains the same multi-room POSHGNN workload three ways and times the
-steady state:
+Trains the same multi-room POSHGNN workload two ways and times them:
 
 * **serial** — the per-episode loop (one room, one autograd graph and
   one optimiser step per BPTT window at a time);
-* **batched eager** — rooms stacked through ``(B, N, N)`` tensors,
-  eager tape construction every window;
-* **batched replay** — the same stacked graph, recorded once per window
-  signature and replayed into pre-allocated buffers thereafter
-  (``ReplayFunction``, see docs/AUTOGRAD.md).
+* **batched** — rooms stacked through ``(B, N, N)`` tensors, one eager
+  autograd graph and one optimiser step per window for the whole batch.
 
-Before the clock starts the harness asserts the contracts that make the
-timings comparable:
-
-* batched replay is **byte-identical** to batched eager — loss history
-  and every parameter tensor;
-* at lr=0 the batched losses match the serial loop to float summation
-  reordering (``rtol=1e-12``) — stacking changes grouping, not math.
+Before the clock starts the harness asserts that at lr=0 the batched
+losses match the serial loop to float summation reordering
+(``rtol=1e-12``) — stacking changes grouping, not math.  Every timed
+mode must also repeat its loss history exactly across repeats.
 
 Run directly::
 
@@ -28,9 +21,8 @@ or as a benchmark test::
 
     PYTHONPATH=src pytest benchmarks/test_training.py
 
-Timings are best-of-``repeats`` full training runs from a fresh model
-(so the replay column pays its one-time recording cost inside the timed
-region and still has to win).  Throughput is reported as room-steps/sec
+Timings are best-of-``repeats`` full training runs from a fresh model.
+Throughput is reported as room-steps/sec
 — one room advancing one timestep — the unit that is invariant across
 the serial/batched split.  ``REPRO_PERF_TINY=1`` shrinks the workload
 to a seconds-long CI smoke that skips the speedup floor and writes its
@@ -63,8 +55,8 @@ __all__ = ["TrainingBenchConfig", "run_training_bench", "main"]
 
 RECORD_NAME = "BENCH_training.json"
 
-#: Acceptance floor: batched training with replay must beat the serial
-#: per-episode loop by at least this factor at the default scale.
+#: Acceptance floor: batched training must beat the serial per-episode
+#: loop by at least this factor at the default scale.
 TRAINING_SPEEDUP_FLOOR = 2.0
 
 
@@ -107,21 +99,19 @@ def _problems(config: TrainingBenchConfig) -> list:
 
 
 def _train_once(problems, config: TrainingBenchConfig, *,
-                batch_rooms=None, replay=True, lr=None) -> dict:
+                batch_rooms=None, lr=None) -> dict:
     """One full training run from a fresh model; returns result + state."""
     model = POSHGNN(seed=config.seed)
     trainer = POSHGNNTrainer(
         model, lr=config.lr if lr is None else lr, epochs=config.epochs,
         bptt_window=config.bptt_window, seed=config.seed,
-        batch_rooms=batch_rooms, replay=replay)
+        batch_rooms=batch_rooms)
     start = time.perf_counter()
     result = trainer.train(problems)
     elapsed = time.perf_counter() - start
     return {
         "elapsed_s": elapsed,
         "history": result["loss"],
-        "state": model.state_dict(),
-        "replay_stats": trainer._runner.stats if trainer._runner else None,
     }
 
 
@@ -137,11 +127,6 @@ def _timed_mode(problems, config: TrainingBenchConfig, **kwargs) -> dict:
     return best
 
 
-def _states_equal(left: dict, right: dict) -> bool:
-    return set(left) == set(right) and all(
-        np.array_equal(left[name], right[name]) for name in left)
-
-
 def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
     config = config or TrainingBenchConfig.from_env()
     problems = _problems(config)
@@ -155,26 +140,11 @@ def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
 
     # -- timed runs ----------------------------------------------------
     serial = _timed_mode(problems, config, batch_rooms=None)
-    eager = _timed_mode(problems, config, batch_rooms=batch, replay=False)
-    replay = _timed_mode(problems, config, batch_rooms=batch, replay=True)
-
-    # Replay mode must be invisible in the numbers: identical loss
-    # trajectory and identical final parameters, byte for byte.
-    assert replay["history"] == eager["history"], \
-        "replay loss history diverged from eager batched"
-    assert _states_equal(replay["state"], eager["state"]), \
-        "replay final parameters diverged from eager batched"
-
-    stats = replay["replay_stats"]
-    assert stats is not None and stats["replays"] > 0, \
-        "replay mode never replayed a recorded graph"
-    assert not stats["volatile"], \
-        f"training graph went volatile: {stats['volatile_reason']}"
+    batched = _timed_mode(problems, config, batch_rooms=batch)
 
     timings = {
         "serial_train": serial["elapsed_s"],
-        "batched_eager_train": eager["elapsed_s"],
-        "batched_replay_train": replay["elapsed_s"],
+        "batched_train": batched["elapsed_s"],
     }
     throughput = {
         f"{name.rsplit('_', 1)[0]}_room_steps_per_s":
@@ -187,19 +157,14 @@ def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
         "timings_s": timings,
         "throughput": throughput,
         "speedup": {
-            "batched_eager_vs_serial":
-                serial["elapsed_s"] / eager["elapsed_s"],
-            "batched_replay_vs_serial":
-                serial["elapsed_s"] / replay["elapsed_s"],
-            "replay_vs_eager": eager["elapsed_s"] / replay["elapsed_s"],
+            "batched_vs_serial": serial["elapsed_s"] / batched["elapsed_s"],
         },
         "parity": {
             "lr0_serial_vs_batched_allclose": True,
-            "replay_vs_eager_bitwise": True,
+            "repeat_deterministic": True,
         },
-        "replay_stats": stats,
         "floor": {
-            "batched_replay_vs_serial_min": TRAINING_SPEEDUP_FLOOR,
+            "batched_vs_serial_min": TRAINING_SPEEDUP_FLOOR,
             "enforced": not config.is_tiny,
         },
     }
@@ -208,8 +173,7 @@ def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     histories = {
         "serial": serial["history"],
-        "batched_eager": eager["history"],
-        "batched_replay": replay["history"],
+        "batched": batched["history"],
         "lr0_serial": lr0_serial["history"],
         "lr0_batched": lr0_batched["history"],
     }
@@ -219,10 +183,10 @@ def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
         json.dumps(record, indent=2) + "\n")
 
     if not config.is_tiny:
-        assert record["speedup"]["batched_replay_vs_serial"] >= \
+        assert record["speedup"]["batched_vs_serial"] >= \
             TRAINING_SPEEDUP_FLOOR, (
-                f"batched+replay speedup "
-                f"{record['speedup']['batched_replay_vs_serial']:.2f}x "
+                f"batched speedup "
+                f"{record['speedup']['batched_vs_serial']:.2f}x "
                 f"under the {TRAINING_SPEEDUP_FLOOR}x floor")
     return record
 
@@ -241,10 +205,6 @@ def main() -> dict:
               f"{steps:9.1f} room-steps/s")
     for name, factor in record["speedup"].items():
         print(f"  {name:28s} {factor:6.2f}x")
-    stats = record["replay_stats"]
-    print(f"  replay: {stats['records']} records, {stats['replays']} "
-          f"replays, {stats['fused_chains']} fused chains, "
-          f"{stats['instructions']}/{stats['recorded_nodes']} instructions")
     path = result_path(RECORD_NAME, config.is_tiny)
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")

@@ -13,10 +13,8 @@ Proves the fault-tolerance story end to end on a tiny room:
    uninterrupted run;
 4. repeat the kill-and-resume for a recurrent baseline's ``fit()``
    (DCRNN multi-restart training through the same engine);
-5. repeat it on the **batched** multi-room BPTT path (``batch_rooms``)
-   with recorded-graph replay on — the compiled replay caches are
-   in-memory only, so the resumed process re-records and must still
-   land bit-identical;
+5. repeat it on the **batched** multi-room BPTT path (``batch_rooms``),
+   whose stacked eager windows must land bit-identical too;
 6. generate a tiny bench table twice against one run directory and
    assert the second pass **skips** the completed method (the
    ``bench: skipping fit of`` log line + a complete manifest).
@@ -56,8 +54,7 @@ KILL_EXIT_CODE = 37
 BASELINE_FIT = dict(epochs=4, restarts=2, save_every=1)
 BASELINE_KILL_AFTER = 3   # epoch-end callbacks before the hard kill
 
-BATCHED_FIT = dict(epochs=4, restarts=1, save_every=1, batch_rooms=2,
-                   replay=True)
+BATCHED_FIT = dict(epochs=4, restarts=1, save_every=1, batch_rooms=2)
 BATCHED_KILL_AFTER = 2
 
 
@@ -219,11 +216,11 @@ def smoke_baseline() -> list:
 
 
 def smoke_batched() -> list:
-    """Phase 5: DCRNN kill-and-resume on the batched replay path."""
+    """Phase 5: DCRNN kill-and-resume on the batched path."""
     problems = _problems()
     failures = []
     with tempfile.TemporaryDirectory(prefix="resume-smoke-batched-") as root:
-        print("[5/6] batched DCRNN fit (batch_rooms=2, replay on): "
+        print("[5/6] batched DCRNN fit (batch_rooms=2): "
               "uninterrupted reference, then hard-killed subprocess "
               "+ resume")
         gold_model = DCRNNRecommender(seed=0)
@@ -323,7 +320,7 @@ def main() -> int:
         for failure in failures:
             print("  " + failure)
         return 1
-    print("OK: POSHGNN + DCRNN (serial and batched-replay) kill-and-resume "
+    print("OK: POSHGNN + DCRNN (serial and batched) kill-and-resume "
           "bit-identical; bench table resume skips completed fits")
     return 0
 

@@ -63,7 +63,7 @@ class _RecurrentTrainSpec(TrainableSpec):
     supports_batch = True
 
     def __init__(self, model, optimizer, alpha, epochs, bptt_window,
-                 grad_clip, replay=True):
+                 grad_clip):
         self.model = model
         self.optimizer = optimizer
         self.configured_alpha = alpha
@@ -71,10 +71,8 @@ class _RecurrentTrainSpec(TrainableSpec):
         self.epochs = epochs
         self.bptt_window = bptt_window
         self.grad_clip = grad_clip
-        self.replay = replay
         self.manifest_kind = f"{model.name.lower()}-train"
         self._runner = None
-        self._runner_key = None
 
     def resolve_alpha(self, problems):
         """Re-resolve the configured alpha against this problem set."""
@@ -124,11 +122,10 @@ class _RecurrentTrainSpec(TrainableSpec):
         return self._batched_runner().run(episodes, guard, epoch)
 
     def _batched_runner(self):
-        """Window runner, rebuilt when alpha or the parameters change."""
-        model = self.model
-        key = (self.resolved_alpha,
-               tuple(id(parameter) for parameter in model.parameters()))
-        if self._runner is None or self._runner_key != key:
+        """Window runner, rebuilt when the resolved alpha changes."""
+        if self._runner is None or self._runner.alpha != self.resolved_alpha:
+            model = self.model
+
             def step_fn(streams, hidden, previous):
                 return model.step_stacked(streams, hidden)
 
@@ -145,9 +142,7 @@ class _RecurrentTrainSpec(TrainableSpec):
                 optimizer=self.optimizer,
                 grad_clip=self.grad_clip,
                 initial_carries=initial_carries,
-                replay=self.replay,
             )
-            self._runner_key = key
         return self._runner
 
     def manifest_config(self):
@@ -161,7 +156,6 @@ class _RecurrentTrainSpec(TrainableSpec):
             "epochs": self.epochs,
             "bptt_window": self.bptt_window,
             "grad_clip": self.grad_clip,
-            "replay": self.replay,
         }
 
 
@@ -271,7 +265,7 @@ class _RecurrentGNNRecommender(Module, Recommender):
             run_dir: str | None = None, resume_from: str | None = None,
             guard: GuardConfig | None = None, save_every: int = 1,
             keep_last: int = 3, on_epoch_end=None,
-            batch_rooms: int | None = None, replay: bool = True,
+            batch_rooms: int | None = None,
             **_ignored) -> dict:
         """Train with the POSHGNN loss (paper's fair-comparison setup).
 
@@ -302,8 +296,7 @@ class _RecurrentGNNRecommender(Module, Recommender):
         def train(attempt):
             optimizer = Adam(self.parameters(), lr=lr)
             spec = _RecurrentTrainSpec(self, optimizer, alpha, epochs,
-                                       bptt_window, grad_clip,
-                                       replay=replay)
+                                       bptt_window, grad_clip)
             store = None if run_dir is None \
                 else os.path.join(run_dir, attempt.label)
             attempt_resume = None
@@ -336,8 +329,7 @@ class _RecurrentGNNRecommender(Module, Recommender):
                             else float(alpha),
                             "epochs": epochs, "bptt_window": bptt_window,
                             "grad_clip": grad_clip,
-                            "batch_rooms": batch_rooms,
-                            "replay": replay}})
+                            "batch_rooms": batch_rooms}})
 
     def restore_fit(self, run_dir: str) -> bool:
         """Restore a completed :meth:`fit` from its run directory.

@@ -119,8 +119,8 @@ class POSHGNN(Module, Recommender):
         ``mask``/``previous_recommendation`` ``(B, N)`` and
         ``previous_hidden`` ``(B, N, hidden_dim)``.  MIA preprocessing is
         numpy-only and happens ahead of time in :meth:`room_episode`, so
-        every input here is already a tensor and the whole step can be
-        recorded and replayed by a tape.
+        every input here is already a stacked tensor and the step builds
+        one graph for the whole batch.
         """
         prototype, hidden = self.pdr(features, propagation)
         if self.use_lwp:

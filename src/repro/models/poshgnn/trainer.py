@@ -74,11 +74,6 @@ class POSHGNNTrainer(TrainableSpec):
         optimiser step per batch per window) — see
         :mod:`repro.training.batched`.  ``None`` (default) keeps the
         serial per-episode loop bit-identical to earlier releases.
-    replay:
-        On the batched path, record each window's primitive sequence and
-        replay it into pre-allocated buffers on later same-shape windows
-        (byte-equal gradients, no graph rebuild).  Ignored when
-        ``batch_rooms`` is unset.
     """
 
     manifest_kind = "poshgnn-train"
@@ -92,8 +87,7 @@ class POSHGNNTrainer(TrainableSpec):
                  seed: int = 0, shuffle: bool = False,
                  checkpoint_dir=None, save_every: int = 1,
                  keep_last: int = 3, guard: GuardConfig | None = None,
-                 on_epoch_end=None, batch_rooms: int | None = None,
-                 replay: bool = True):
+                 on_epoch_end=None, batch_rooms: int | None = None):
         if epochs < 1:
             raise ValueError("epochs must be positive")
         if bptt_window < 1:
@@ -113,10 +107,8 @@ class POSHGNNTrainer(TrainableSpec):
         self.guard_config = guard or GuardConfig()
         self.on_epoch_end = on_epoch_end
         self.batch_rooms = batch_rooms
-        self.replay = replay
         self.optimizer = Adam(model.parameters(), lr=lr)
         self._runner: BatchedBPTTRunner | None = None
-        self._runner_key = None
         self._room_episodes: dict = {}
 
     # ------------------------------------------------------------------
@@ -182,7 +174,6 @@ class POSHGNNTrainer(TrainableSpec):
             "grad_clip": self.grad_clip,
             "shuffle": self.shuffle,
             "batch_rooms": self.batch_rooms,
-            "replay": self.replay,
             "save_every": self.save_every,
             "keep_last": self.keep_last,
             "guard": {
@@ -235,19 +226,14 @@ class POSHGNNTrainer(TrainableSpec):
         return episode
 
     def _batched_runner(self) -> BatchedBPTTRunner:
-        """The window runner, rebuilt when graph-shaping config changes.
+        """The window runner, rebuilt when the resolved alpha changes.
 
-        Recorded graphs bind the model's parameter *objects* and bake in
-        constants like ``max_preserve`` and the resolved alpha, so the
-        runner (and its replay cache) is invalidated whenever any of
-        those change — e.g. after ``reinitialize`` between restart
-        attempts.  Checkpoint restore and guard rollback rebind
-        ``Parameter.data`` in place and need no invalidation.
+        Alpha is the one constant a runner bakes in; each window reads the
+        model's parameters and ``max_preserve`` live.
         """
-        model = self.model
-        key = (self.resolved_alpha, model.max_preserve, model.use_lwp,
-               tuple(id(parameter) for parameter in model.parameters()))
-        if self._runner is None or self._runner_key != key:
+        if self._runner is None or self._runner.alpha != self.resolved_alpha:
+            model = self.model
+
             def step_fn(streams, hidden, previous):
                 return model.step_stacked(
                     streams["features"], streams["delta"], streams["mask"],
@@ -267,9 +253,7 @@ class POSHGNNTrainer(TrainableSpec):
                 optimizer=self.optimizer,
                 grad_clip=self.grad_clip,
                 initial_carries=initial_carries,
-                replay=self.replay,
             )
-            self._runner_key = key
         return self._runner
 
     # ------------------------------------------------------------------

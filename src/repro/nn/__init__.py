@@ -10,9 +10,8 @@ Replaces the paper's PyTorch dependency (see DESIGN.md §2).  Public API:
   :class:`AttentionFusion`.
 * Optimisers: :class:`SGD`, :class:`Adam`, :func:`clip_grad_norm`.
 * Checkpointing: :func:`save_module`, :func:`load_module`.
-* Tape autograd: :class:`Tape`, :class:`ReplayFunction`,
-  :func:`active_tape` — explicit recording and recorded-graph replay
-  (see docs/AUTOGRAD.md).
+* Tape autograd: :class:`Primitive` — the shared ``(forward, vjp)``
+  registry every operation runs through (see docs/AUTOGRAD.md).
 """
 
 from . import functional
@@ -40,14 +39,7 @@ from .serialization import (
     save_module,
     unflatten_state,
 )
-from .tape import (
-    CompiledGraph,
-    Primitive,
-    ReplayFunction,
-    Tape,
-    TapeCompileError,
-    active_tape,
-)
+from .tape import Primitive
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
@@ -55,12 +47,7 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
-    "Tape",
     "Primitive",
-    "ReplayFunction",
-    "CompiledGraph",
-    "TapeCompileError",
-    "active_tape",
     "functional",
     "init",
     "Module",

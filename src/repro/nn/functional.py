@@ -2,16 +2,17 @@
 
 Thin, composable wrappers used across model code.  Every function accepts
 tensors or array-likes and returns a tensor participating in the autograd
-graph.  The n-ary ops (``concatenate``, ``stack``) are tape primitives so
-they replay inside recorded graphs like every other operation.
+graph.  The n-ary ops (``concatenate``, ``stack``) are registered tape
+primitives like every other operation, so one eager backward sweep and
+the gradcheck suite cover them too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tape import Primitive, active_tape, register
-from .tensor import Tensor, amax_const, as_tensor, _apply
+from .tape import Primitive, register
+from .tensor import Tensor, as_tensor, _apply
 
 __all__ = [
     "relu",
@@ -103,7 +104,7 @@ def softplus(x) -> Tensor:
 def softmax(x, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` with max-subtraction for stability."""
     x = as_tensor(x)
-    shifted = x - amax_const(x, axis)
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     e = shifted.exp()
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -152,16 +153,9 @@ def binary_cross_entropy(pred, target, eps: float = 1e-9) -> Tensor:
 
 
 def dropout(x, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is False or rate is 0.
-
-    A fresh mask is drawn per call, so a recording tape is marked volatile:
-    dropout graphs always execute eagerly rather than replaying a stale mask.
-    """
+    """Inverted dropout; identity when ``training`` is False or rate is 0."""
     if not training or rate <= 0.0:
         return as_tensor(x)
-    tape = active_tape()
-    if tape is not None:
-        tape.mark_volatile("dropout")
     x = as_tensor(x)
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep) / keep

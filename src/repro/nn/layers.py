@@ -5,8 +5,7 @@ Layers here are deliberately small and explicit — the paper's networks are
 
 Graph layers accept the adjacency operator as a plain numpy array or as a
 (possibly batched ``(B, N, N)``) tensor; the adjacency is environment data,
-not a learned quantity, so it never requires gradients — but passing it as
-a tensor lets a recording tape treat it as a per-step replay input.
+not a learned quantity, so it never requires gradients.
 """
 
 from __future__ import annotations
@@ -158,8 +157,8 @@ class GraphConv(Module):
     def forward(self, x, adjacency) -> Tensor:
         """Eq. 1: self transform plus aggregated-neighbour transform.
 
-        ``adjacency`` may be a plain array (the serial path) or a tensor —
-        e.g. a stacked ``(B, N, N)`` batch fed through a recording tape.
+        ``adjacency`` may be a plain array (the serial path) or a constant
+        tensor — e.g. a stacked ``(B, N, N)`` batch on the batched path.
         """
         x = as_tensor(x)
         if not isinstance(adjacency, Tensor):

@@ -22,9 +22,6 @@ Design notes
   directly without entering the autograd graph.
 * Grad mode is thread-local: ``no_grad`` on one thread does not disable
   graph construction on another (see :mod:`repro.nn.tape`).
-* When a :class:`~repro.nn.tape.Tape` is active on the current thread,
-  executed nodes are additionally appended to its arena, enabling the
-  recorded-graph replay documented in ``docs/AUTOGRAD.md``.
 """
 
 from __future__ import annotations
@@ -269,101 +266,50 @@ def _vjp_clip(attrs, out, ins, grad, needs):
     return (grad * ((a > attrs[0]) & (a < attrs[1])),)
 
 
-def _fwd_amax_const(attrs, a):
-    return a.max(axis=attrs, keepdims=True)
-
-
-def _vjp_amax_const(attrs, out, ins, grad, needs):
-    return (None,)
-
-
-def _out_exp(attrs, vals, out):
-    np.clip(vals[0], -60.0, 60.0, out=out)
-    np.exp(out, out=out)
-
-
-P_ADD = register(Primitive(
-    "add", _fwd_add, _vjp_add, elementwise=True,
-    out_forward=lambda attrs, vals, out: np.add(vals[0], vals[1], out=out)))
-P_NEG = register(Primitive(
-    "neg", _fwd_neg, _vjp_neg, elementwise=True,
-    out_forward=lambda attrs, vals, out: np.negative(vals[0], out=out)))
-P_MUL = register(Primitive(
-    "mul", _fwd_mul, _vjp_mul, elementwise=True,
-    out_forward=lambda attrs, vals, out: np.multiply(vals[0], vals[1], out=out)))
-P_DIV = register(Primitive(
-    "div", _fwd_div, _vjp_div, elementwise=True,
-    out_forward=lambda attrs, vals, out: np.divide(vals[0], vals[1], out=out)))
-P_POW = register(Primitive(
-    "pow", _fwd_pow, _vjp_pow, elementwise=True,
-    out_forward=lambda attrs, vals, out: np.power(vals[0], attrs, out=out)))
-P_MATMUL = register(Primitive(
-    "matmul", _fwd_matmul, _vjp_matmul,
-    out_forward=lambda attrs, vals, out: np.matmul(vals[0], vals[1], out=out)))
+P_ADD = register(Primitive("add", _fwd_add, _vjp_add))
+P_NEG = register(Primitive("neg", _fwd_neg, _vjp_neg))
+P_MUL = register(Primitive("mul", _fwd_mul, _vjp_mul))
+P_DIV = register(Primitive("div", _fwd_div, _vjp_div))
+P_POW = register(Primitive("pow", _fwd_pow, _vjp_pow))
+P_MATMUL = register(Primitive("matmul", _fwd_matmul, _vjp_matmul))
 P_TRANSPOSE = register(Primitive("transpose", _fwd_transpose, _vjp_transpose))
 P_RESHAPE = register(Primitive("reshape", _fwd_reshape, _vjp_reshape))
 P_GETITEM = register(Primitive("getitem", _fwd_getitem, _vjp_getitem))
 P_SUM = register(Primitive("sum", _fwd_sum, _vjp_sum))
 P_MAX = register(Primitive("max", _fwd_max, _vjp_max))
-P_RELU = register(Primitive("relu", _fwd_relu, _vjp_relu, elementwise=True))
-P_SIGMOID = register(Primitive(
-    "sigmoid", _fwd_sigmoid, _vjp_sigmoid, elementwise=True))
-P_TANH = register(Primitive(
-    "tanh", _fwd_tanh, _vjp_tanh, elementwise=True,
-    out_forward=lambda attrs, vals, out: np.tanh(vals[0], out=out)))
-P_EXP = register(Primitive(
-    "exp", _fwd_exp, _vjp_exp, elementwise=True, out_forward=_out_exp))
-P_LOG = register(Primitive("log", _fwd_log, _vjp_log, elementwise=True))
-P_SQRT = register(Primitive("sqrt", _fwd_sqrt, _vjp_sqrt, elementwise=True))
-P_ABS = register(Primitive("abs", _fwd_abs, _vjp_abs, elementwise=True))
-P_CLIP = register(Primitive("clip", _fwd_clip, _vjp_clip, elementwise=True))
-P_AMAX_CONST = register(Primitive(
-    "amax_const", _fwd_amax_const, _vjp_amax_const, nondiff=True))
-
-
-def _index_is_static(index) -> bool:
-    """True when a ``__getitem__`` index is shape-static (no index arrays)."""
-    if isinstance(index, tuple):
-        return all(_index_is_static(i) for i in index)
-    return (index is None or index is Ellipsis
-            or isinstance(index, (int, np.integer, slice)))
+P_RELU = register(Primitive("relu", _fwd_relu, _vjp_relu))
+P_SIGMOID = register(Primitive("sigmoid", _fwd_sigmoid, _vjp_sigmoid))
+P_TANH = register(Primitive("tanh", _fwd_tanh, _vjp_tanh))
+P_EXP = register(Primitive("exp", _fwd_exp, _vjp_exp))
+P_LOG = register(Primitive("log", _fwd_log, _vjp_log))
+P_SQRT = register(Primitive("sqrt", _fwd_sqrt, _vjp_sqrt))
+P_ABS = register(Primitive("abs", _fwd_abs, _vjp_abs))
+P_CLIP = register(Primitive("clip", _fwd_clip, _vjp_clip))
 
 
 def _apply(prim: Primitive, attrs, inputs: tuple) -> "Tensor":
     """Execute ``prim`` on ``inputs``, building a node when grads flow.
 
     This is the single graph-construction entry point: it mirrors the old
-    ``Tensor._make`` (requires-grad inheritance, parent filtering) and
-    additionally appends the node to the active tape when one is recording.
+    ``Tensor._make`` (requires-grad inheritance, parent filtering).
     """
     arrays = tuple(t.data for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(prim.forward(attrs, *arrays), dtype=np.float64)
     out.grad = None
     out._node = None
-    state = _STATE
     requires = False
-    if state.enabled and not prim.nondiff:
+    if _STATE.enabled:
         for t in inputs:
             if t.requires_grad:
                 requires = True
                 break
     out.requires_grad = requires
-    tape = state.tape
-    tracked = False
-    if tape is not None and not requires:
-        for t in inputs:
-            if tape.varies(t):
-                tracked = True
-                break
-    if requires or tracked:
-        needs = tuple(t.requires_grad for t in inputs)
-        node = TapeNode(prim, attrs, inputs, arrays, needs, out.data)
-        if requires:
-            node.parents = tuple(t for t in inputs if t.requires_grad)
-        out._node = node
-        if tape is not None:
-            tape.record(node)
+    if requires:
+        out._node = TapeNode(
+            prim, attrs, inputs, arrays,
+            tuple(t.requires_grad for t in inputs), out.data,
+            tuple(t for t in inputs if t.requires_grad))
     return out
 
 
@@ -450,11 +396,10 @@ class Tensor:
         """Run reverse-mode differentiation from this tensor.
 
         ``grad`` defaults to 1 for scalar outputs; a gradient of the same
-        shape must be supplied for non-scalar outputs.  The traversal is
-        the same iterative depth-first post-order as the original closure
-        implementation, so accumulation order — and gradient bits — are
-        unchanged.  When the local tape is capturing, the executed vjp
-        order is recorded for replay compilation.
+        shape must be supplied for non-scalar outputs (a mis-shaped seed
+        raises ``ValueError``).  The traversal is the same iterative
+        depth-first post-order as the original closure implementation, so
+        accumulation order — and gradient bits — are unchanged.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -464,6 +409,10 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=np.float64)
+            if grad.shape != self.data.shape:
+                raise ValueError(
+                    f"backward() seed gradient has shape {grad.shape}, "
+                    f"but the output has shape {self.data.shape}")
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -488,9 +437,6 @@ class Tensor:
             tape_node = node._node
             if tape_node is not None and tape_node.parents and node.grad is not None:
                 tape_node.execute_vjp(node.grad)
-                tape = tape_node.tape
-                if tape is not None and tape.capturing:
-                    tape.backward_program.append(tape_node)
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
@@ -553,10 +499,6 @@ class Tensor:
         return _apply(P_RESHAPE, shape, (self,))
 
     def __getitem__(self, index) -> "Tensor":
-        tape = _STATE.tape
-        if tape is not None and not _index_is_static(index) \
-                and (self.requires_grad or tape.varies(self)):
-            tape.mark_volatile("data-dependent getitem index")
         return _apply(P_GETITEM, index, (self,))
 
     # ------------------------------------------------------------------
@@ -613,16 +555,6 @@ class Tensor:
     def clip(self, lo: float, hi: float) -> "Tensor":
         """Clamp into ``[lo, hi]``; gradients stop at the bounds."""
         return _apply(P_CLIP, (lo, hi), (self,))
-
-
-def amax_const(x: "Tensor", axis: int = -1) -> "Tensor":
-    """Stop-gradient ``max(axis, keepdims=True)`` used for softmax shifting.
-
-    Produces a constant (detached) tensor, but — unlike wrapping
-    ``x.data.max(...)`` in a fresh ``Tensor`` — records onto an active
-    tape, so replayed graphs recompute the shift from live data.
-    """
-    return _apply(P_AMAX_CONST, axis, (x,))
 
 
 def as_tensor(value) -> Tensor:

@@ -17,8 +17,7 @@ trainers (see docs/TRAINING.md):
 * :class:`CheckpointStore` backends — pluggable checkpoint storage
   (local directory, in-memory, sharded fan-out).
 * :class:`BatchedBPTTRunner` / :class:`RoomEpisode` — the stacked
-  multi-room truncated-BPTT path with recorded-graph replay (see
-  docs/TRAINING.md and docs/AUTOGRAD.md).
+  multi-room truncated-BPTT path (see docs/TRAINING.md).
 """
 
 from .batched import BatchedBPTTRunner, RoomEpisode, batched_step_loss

@@ -5,10 +5,10 @@ This module stacks a batch of same-shape rooms along a leading batch axis
 and runs **one** graph (and one optimiser step) per window for the whole
 batch: per-step features become ``(B, N, F)``, adjacency operators become
 ``(B, N, N)``, and the POSHGNN loss is summed across rooms with per-room
-``beta`` weights carried as a ``(B,)`` input.  On top of the stacking, the
-window graph is wrapped in a :class:`~repro.nn.tape.ReplayFunction`, so
-after the first window of a given shape the primitive sequence replays
-into pre-allocated buffers with no Python graph construction.
+``beta`` weights carried as a ``(B,)`` input.  Each window builds its
+graph eagerly and runs the ordinary ``Tensor.backward`` sweep; the gain
+over the serial loop comes from one graph of ``(B, ...)`` arrays in place
+of ``B`` graphs of small ones.
 
 The pieces here are model-agnostic; model-specific glue (which streams to
 precompute per room, how one unrolled step consumes them) lives with the
@@ -19,8 +19,8 @@ Batched semantics are *minibatching*, not a bit-for-bit reordering of the
 serial loop: the serial path takes one optimiser step per room per window,
 the batched path one step per batch per window.  Losses agree with the
 serial path to float tolerance at ``lr=0`` (asserted by the training
-bench), and replay-mode gradients are byte-equal to eager batched
-execution (asserted by the tape property tests).
+bench), and ``tests/training/golden_batched_train.json`` pins the
+batched path's trained bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import Tensor, clip_grad_norm
-from ..nn.tape import ReplayFunction
 from ..obs import DEFAULT_VALUE_BOUNDARIES, PERF
 
 __all__ = [
@@ -84,7 +83,7 @@ def batched_step_loss(recommendation, previous, preference, presence,
     ``betas``/``one_minus_betas`` are ``(B,)`` tensors so each room keeps
     its own presence/preference trade-off.  The normaliser ``gamma`` is
     computed *as a tensor* from the per-step inputs (the serial path uses
-    a Python float), so it varies correctly across replayed windows.
+    a Python float).
     """
     gain_preference = ((recommendation * preference).sum(axis=-1)
                        * one_minus_betas).sum()
@@ -100,13 +99,11 @@ def batched_step_loss(recommendation, previous, preference, presence,
 
 
 def _stack_window(episodes, names, start, stop):
-    """Stack each stream across rooms for steps ``start..stop-1``."""
-    arrays = []
-    for t in range(start, stop):
-        for name in names:
-            arrays.append(np.stack([episode.streams[name][t]
+    """Per-step ``{name: (B, ...) tensor}`` dicts for ``start..stop-1``."""
+    return [{name: Tensor(np.stack([episode.streams[name][t]
                                     for episode in episodes]))
-    return arrays
+             for name in names}
+            for t in range(start, stop)]
 
 
 class BatchedBPTTRunner:
@@ -127,15 +124,10 @@ class BatchedBPTTRunner:
         Zero-argument callable yielding the trainable parameters (a bound
         ``model.parameters`` — called per window so gradient clipping sees
         live parameters even after a model re-initialisation).
-    replay:
-        When True (default), windows run through a
-        :class:`~repro.nn.tape.ReplayFunction`; when False every window
-        builds an eager graph (useful for parity benches and debugging).
     """
 
     def __init__(self, step_fn, stream_names, alpha, bptt_window,
-                 parameters, optimizer, grad_clip, initial_carries,
-                 replay: bool = True):
+                 parameters, optimizer, grad_clip, initial_carries):
         missing = [name for name in LOSS_STREAMS if name not in stream_names]
         if missing:
             raise ValueError(f"stream_names is missing {missing}")
@@ -147,38 +139,20 @@ class BatchedBPTTRunner:
         self.optimizer = optimizer
         self.grad_clip = grad_clip
         self.initial_carries = initial_carries
-        self.replay = replay
-        self._build = self._make_build()
-        self._replay_fn = ReplayFunction(self._build)
 
-    @property
-    def stats(self) -> dict:
-        """Record/replay/fallback counters from the replay function."""
-        return self._replay_fn.stats
-
-    def _make_build(self):
-        names = self.stream_names
-        width = len(names)
-        step_fn = self.step_fn
-        alpha = self.alpha
-
-        def build(*tensors):
-            betas, hidden, previous = tensors[0], tensors[1], tensors[2]
-            rest = tensors[3:]
-            one_minus_betas = 1.0 - betas
-            loss = None
-            for offset in range(0, len(rest), width):
-                streams = dict(zip(names, rest[offset:offset + width]))
-                recommendation, hidden = step_fn(streams, hidden, previous)
-                step = batched_step_loss(
-                    recommendation, previous, streams["preference"],
-                    streams["presence"], streams["adjacency"],
-                    betas, one_minus_betas, alpha)
-                loss = step if loss is None else loss + step
-                previous = recommendation
-            return loss, [hidden, previous]
-
-        return build
+    def _window_loss(self, betas, hidden, previous, steps):
+        """Unroll one window; returns ``(loss, hidden, previous)`` tensors."""
+        one_minus_betas = 1.0 - betas
+        loss = None
+        for streams in steps:
+            recommendation, hidden = self.step_fn(streams, hidden, previous)
+            step = batched_step_loss(
+                recommendation, previous, streams["preference"],
+                streams["presence"], streams["adjacency"],
+                betas, one_minus_betas, self.alpha)
+            loss = step if loss is None else loss + step
+            previous = recommendation
+        return loss, hidden, previous
 
     def run(self, episodes, guard=None, epoch: int = 0) -> float:
         """Train one batch of episodes; returns the summed window losses.
@@ -196,34 +170,24 @@ class BatchedBPTTRunner:
             if episode.horizon != horizon or episode.num_users != num_users:
                 raise ValueError(
                     "batched episodes must share horizon and room size")
-        betas = np.array([episode.beta for episode in episodes],
-                         dtype=np.float64)
-        carries = [np.asarray(carry, dtype=np.float64)
-                   for carry in self.initial_carries(len(episodes),
-                                                     num_users)]
+        betas = Tensor([episode.beta for episode in episodes])
+        hidden, previous = (Tensor(carry) for carry in self.initial_carries(
+            len(episodes), num_users))
         total_loss = 0.0
         start = 0
         while start <= horizon:
             stop = min(start + self.bptt_window, horizon + 1)
-            arrays = [betas, *carries]
-            arrays += _stack_window(episodes, self.stream_names, start, stop)
+            steps = _stack_window(episodes, self.stream_names, start, stop)
             with PERF.scope("train.batched_window",
                             {"rooms": len(episodes), "steps": stop - start}):
-                if self.replay:
-                    window_value, carries = self._replay_fn.forward(*arrays)
-                    if guard is not None:
-                        guard.check_loss(window_value, epoch)
-                    self.optimizer.zero_grad()
-                    self._replay_fn.backward()
-                else:
-                    tensors = [Tensor(array) for array in arrays]
-                    loss, aux = self._build(*tensors)
-                    window_value = loss.item()
-                    if guard is not None:
-                        guard.check_loss(window_value, epoch)
-                    self.optimizer.zero_grad()
-                    loss.backward()
-                    carries = [t.data.copy() for t in aux]
+                loss, hidden, previous = self._window_loss(
+                    betas, hidden, previous, steps)
+                window_value = loss.item()
+                if guard is not None:
+                    guard.check_loss(window_value, epoch)
+                self.optimizer.zero_grad()
+                loss.backward()
+                hidden, previous = hidden.detach(), previous.detach()
                 norm = clip_grad_norm(self.parameters(), self.grad_clip)
                 if guard is not None:
                     guard.check_grad_norm(norm, epoch)

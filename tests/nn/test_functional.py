@@ -59,6 +59,19 @@ class TestSoftmax:
         expected = p[0] * (np.eye(3)[0] - p)
         np.testing.assert_allclose(x.grad, expected, atol=1e-8)
 
+    def test_max_shift_stays_out_of_the_graph(self):
+        # Softmax is shift-invariant, so gradient values cannot show
+        # whether the max shift was differentiated; the graph can.
+        x = Tensor([[1.0, 3.0, 2.0], [0.5, 0.5, -1.0]], requires_grad=True)
+        stack, prims = [F.softmax(x, axis=-1)], set()
+        while stack:
+            node = stack.pop()._node
+            if node is not None:
+                prims.add(node.prim.name)
+                stack.extend(node.parents)
+        assert "max" not in prims
+        assert "exp" in prims
+
     def test_log_softmax_matches_log_of_softmax(self):
         x = np.array([0.5, 1.5, -0.5])
         np.testing.assert_allclose(

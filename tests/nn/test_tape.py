@@ -1,24 +1,10 @@
-"""Tape mechanics: recording, replay, fallback, fusion, thread-local mode.
-
-Byte-equality suites live in ``test_replay_parity.py``; this file covers
-the state machine around them — what gets recorded, when replay falls
-back to eager, and that grad mode is per-thread.
-"""
+"""Tape mechanics: grad mode is per-thread."""
 
 import threading
 
 import numpy as np
-import pytest
 
-from repro.nn import (
-    Parameter,
-    ReplayFunction,
-    Tape,
-    Tensor,
-    is_grad_enabled,
-    no_grad,
-)
-from repro.nn import functional as F
+from repro.nn import Tensor, is_grad_enabled, no_grad
 
 
 class TestThreadLocalGradMode:
@@ -57,138 +43,3 @@ class TestThreadLocalGradMode:
             assert not x.requires_grad
         assert is_grad_enabled()
 
-
-class TestTape:
-    def test_records_grad_nodes(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with Tape() as tape:
-            ((x * 2.0) + 1.0).sum()
-        assert len(tape.nodes) == 3
-
-    def test_watch_tracks_non_grad_inputs(self):
-        x = Tensor(np.ones(3))
-        with Tape() as tape:
-            tape.watch(x)
-            (x * 2.0).sum()
-        assert len(tape.nodes) == 2
-
-    def test_unwatched_constants_not_recorded(self):
-        with Tape() as tape:
-            (Tensor(np.ones(3)) * 2.0).sum()
-        assert len(tape.nodes) == 0
-
-    def test_nesting_raises(self):
-        with Tape():
-            with pytest.raises(RuntimeError):
-                with Tape():
-                    pass
-
-
-class TestReplayFunction:
-    @staticmethod
-    def _make(replay_param):
-        def build(x):
-            hidden = (x @ replay_param).tanh()
-            return (hidden * hidden).sum(), [hidden]
-        return ReplayFunction(build)
-
-    def test_record_then_replay_counters(self):
-        param = Parameter(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
-        fn = self._make(param)
-        x = np.linspace(0.0, 1.0, 8).reshape(2, 4)
-        for _ in range(3):
-            fn.forward(x)
-            fn.backward()
-        assert fn.stats["records"] == 1
-        assert fn.stats["replays"] == 2
-        assert fn.stats["fallbacks"] == 0
-
-    def test_replay_matches_eager_bitwise(self):
-        param = Parameter(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
-        fn = self._make(param)
-        x = np.linspace(0.0, 1.0, 8).reshape(2, 4)
-
-        param.zero_grad()
-        loss_rec, aux_rec = fn.forward(x)
-        fn.backward()
-        grad_rec = param.grad.copy()
-
-        param.zero_grad()
-        loss_rep, aux_rep = fn.forward(x)
-        fn.backward()
-        assert loss_rep == loss_rec
-        np.testing.assert_array_equal(aux_rep[0], aux_rec[0])
-        np.testing.assert_array_equal(param.grad, grad_rec)
-
-    def test_shape_change_triggers_fallback_rerecording(self):
-        param = Parameter(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
-        fn = self._make(param)
-        fn.forward(np.ones((2, 4)))
-        fn.backward()
-        fn.forward(np.ones((5, 4)))   # new signature -> re-record
-        fn.backward()
-        assert fn.stats["records"] == 2
-        assert fn.stats["fallbacks"] == 1
-        fn.forward(np.ones((2, 4)))   # original signature still cached
-        assert fn.stats["replays"] == 1
-
-    def test_dropout_marks_volatile_and_stays_eager(self):
-        param = Parameter(np.ones((4, 3)))
-        rng = np.random.default_rng(0)
-
-        def build(x):
-            return (F.dropout(x @ param, 0.5, rng) ** 2.0).sum(), []
-
-        fn = ReplayFunction(build)
-        fn.forward(np.ones((2, 4)))
-        fn.backward()
-        assert fn.stats["volatile"]
-        assert fn.stats["volatile_reason"] == "dropout"
-        fn.forward(np.ones((2, 4)))
-        fn.backward()
-        assert fn.stats["replays"] == 0
-        assert fn.stats["eager_steps"] == 1
-
-    def test_data_dependent_indexing_marks_volatile(self):
-        param = Parameter(np.ones(4))
-
-        def build(x):
-            scaled = x * param
-            return scaled[np.array([0, 2])].sum(), []
-
-        fn = ReplayFunction(build)
-        fn.forward(np.ones(4))
-        fn.backward()
-        assert fn.stats["volatile"]
-        assert "getitem" in fn.stats["volatile_reason"]
-
-    def test_elementwise_chains_fuse(self):
-        param = Parameter(np.linspace(-1.0, 1.0, 8))
-
-        def build(x):
-            return ((x * param).tanh().sigmoid() * 2.0 + 1.0).sum(), []
-
-        fn = ReplayFunction(build)
-        fn.forward(np.ones(8))
-        fn.backward()
-        assert fn.stats["fused_chains"] >= 1
-        assert fn.stats["instructions"] < fn.stats["recorded_nodes"]
-        # Fused replay still matches the eager recording bit-for-bit.
-        param.zero_grad()
-        loss_rec, _ = fn.forward(np.ones(8))
-        fn.backward()
-        grad_rec = param.grad.copy()
-        param.zero_grad()
-        loss_rep, _ = fn.forward(np.ones(8))
-        fn.backward()
-        assert loss_rep == loss_rec
-        np.testing.assert_array_equal(param.grad, grad_rec)
-
-    def test_loss_only_build_supported(self):
-        param = Parameter(np.ones(3))
-        fn = ReplayFunction(lambda x: (x * param).sum())
-        loss, aux = fn.forward(np.ones(3))
-        fn.backward()
-        assert aux == []
-        assert loss == 3.0
-        np.testing.assert_array_equal(param.grad, np.ones(3))

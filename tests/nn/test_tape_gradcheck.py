@@ -8,10 +8,8 @@ finite-difference case is added here.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.tape import PRIMITIVES
-from repro.nn.tensor import amax_const
 
 from .test_gradcheck import assert_gradcheck
 
@@ -28,8 +26,7 @@ def _away_from(x, bad, margin):
     return x
 
 
-# name -> (make_loss, list-of-input-arrays, atol); nondiff primitives are
-# exercised separately below.
+# name -> (make_loss, list-of-input-arrays, atol).
 CASES = {
     "add": lambda rng: (
         lambda a, b: ((a + b) * (a + b)).sum(),
@@ -101,11 +98,9 @@ CASES = {
         [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))], 1e-5),
 }
 
-NONDIFF = {"amax_const"}
-
 
 def test_every_primitive_has_a_case():
-    assert set(PRIMITIVES) == set(CASES) | NONDIFF
+    assert set(PRIMITIVES) == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -113,13 +108,3 @@ def test_primitive_gradcheck(name):
     make_loss, arrays, atol = CASES[name](_rng())
     assert_gradcheck(make_loss, *arrays, atol=atol)
 
-
-def test_amax_const_is_a_stop_gradient():
-    x = Tensor(_rng().normal(size=(3, 4)), requires_grad=True)
-    shift = amax_const(x, axis=-1)
-    np.testing.assert_array_equal(shift.data,
-                                  x.data.max(axis=-1, keepdims=True))
-    assert not shift.requires_grad
-    # The shift contributes no gradient: d/dx sum(x - amax(x)) == 1.
-    (x - shift).sum().backward()
-    np.testing.assert_array_equal(x.grad, np.ones_like(x.data))

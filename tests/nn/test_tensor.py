@@ -282,6 +282,21 @@ class TestBackwardMechanics:
         (a * 3).backward(np.array([1.0, 10.0]))
         np.testing.assert_allclose(a.grad, [3.0, 30.0])
 
+    def test_backward_rejects_broadcastable_seed(self):
+        """Regression: an extra seed axis used to be summed into the grad
+        silently (``[4, 4, 4]`` here instead of raising)."""
+        p = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+            (p * 2.0).backward(np.ones((2, 3)))
+        assert p.grad is None
+
+    def test_backward_rejects_seed_for_scalar_of_other_shape(self):
+        """Regression: a ``(1,)`` seed on a 0-d loss hit a bare reshape."""
+        p = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(1,\).*\(\)"):
+            (p * 2.0).sum().backward(np.ones(1))
+        assert p.grad is None
+
     def test_no_grad_blocks_graph(self):
         a = Tensor([1.0], requires_grad=True)
         with no_grad():

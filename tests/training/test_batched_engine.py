@@ -1,8 +1,8 @@
 """Batched multi-room BPTT: grouping, parity and kill-and-resume.
 
 The stacked path changes *scheduling* (one optimiser step per chunk per
-window) but nothing numeric at lr=0, and replay mode must be a pure
-performance knob — byte-identical to the eager batched path.
+window) but nothing numeric at lr=0; ``test_batched_golden.py`` pins its
+trained bytes.
 """
 
 import numpy as np
@@ -83,32 +83,6 @@ class TestPOSHGNNBatchedParity:
         np.testing.assert_allclose(serial["loss"], batched["loss"],
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("shuffle", [False, True])
-    def test_replay_is_byte_identical_to_eager_batched(self, problems,
-                                                       shuffle):
-        results = {}
-        models = {}
-        for replay in (False, True):
-            model = POSHGNN(seed=0)
-            trainer = POSHGNNTrainer(model, epochs=3, batch_rooms=2,
-                                     shuffle=shuffle, seed=3, replay=replay)
-            results[replay] = trainer.train(problems)
-            models[replay] = model
-        assert results[True]["loss"] == results[False]["loss"]
-        assert results[True]["best_loss"] == results[False]["best_loss"]
-        _assert_states_equal(models[True].state_dict(),
-                             models[False].state_dict())
-
-    def test_replay_path_actually_replays(self, problems):
-        model = POSHGNN(seed=0)
-        trainer = POSHGNNTrainer(model, epochs=3, batch_rooms=2)
-        trainer.train(problems)
-        stats = trainer._runner.stats
-        assert stats["records"] >= 1
-        assert stats["replays"] >= 1
-        assert not stats["volatile"]
-        assert stats["eager_steps"] == 0
-
     def test_mixed_room_sizes_train_in_separate_chunks(self, problems):
         other_room = generate_timik_room(
             RoomConfig(num_users=8, num_steps=6), seed=5)
@@ -147,19 +121,6 @@ class TestBatchedResume:
 # Recurrent baselines on the batched path
 # ----------------------------------------------------------------------
 class TestRecurrentBatched:
-    @pytest.mark.parametrize("cls", [DCRNNRecommender, TGCNRecommender])
-    def test_replay_fit_matches_eager_batched_fit(self, cls, problems):
-        results = {}
-        states = {}
-        for replay in (False, True):
-            rec = cls(seed=0)
-            results[replay] = rec.fit(problems, epochs=3, restarts=1,
-                                      batch_rooms=2, replay=replay)
-            states[replay] = {name: parameter.data.copy()
-                              for name, parameter in rec.named_parameters()}
-        assert results[True]["loss"] == results[False]["loss"]
-        _assert_states_equal(states[True], states[False])
-
     @pytest.mark.parametrize("cls", [DCRNNRecommender, TGCNRecommender])
     def test_lr0_fit_matches_serial(self, cls, problems):
         serial = cls(seed=0).fit(problems, epochs=2, restarts=1, lr=0.0)
