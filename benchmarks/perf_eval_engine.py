@@ -1,12 +1,14 @@
 """Perf harness for multi-target evaluation.
 
 Times two ways of evaluating one recommender for many targets of a room
-— per-target :func:`~repro.serving.stream_episode`, the per-step walk
-left in ``src/``, and :func:`~repro.core.evaluation.evaluate_targets`
-(batched occlusion graphs, cached episode frames, one visibility
+— per-target :func:`~repro.serving.stream_episode`, the serving step
+path (the same batched kernels, one step per call at B = 1), and
+:func:`~repro.core.evaluation.evaluate_targets` (every target's
+occlusion graphs in one call, cached episode frames, one visibility
 resolution per episode), cold and with warm caches — asserts that all
 produce identical metrics, and writes the measurements to
-``BENCH_eval_engine.json``.
+``BENCH_eval_engine.json``.  Both sides run the same kernels, so the
+ratio measures what batching the rows saves, not a cheaper algorithm.
 
 Run directly::
 

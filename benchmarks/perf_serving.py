@@ -171,12 +171,13 @@ def _generate_rooms(config: ServingBenchConfig) -> list:
 
 
 def _serial_stream(workload, config: ServingBenchConfig) -> tuple:
-    """Steady-state serial baseline: one room at a time, scalar kernels.
+    """Steady-state serial baseline: one room at a time, no batching.
 
     Sessions are opened before the clock starts; the timed region steps
     every room's full trajectory through
-    :meth:`~repro.serving.RoomSession.step` (scalar geometry, frame and
-    visibility per step — what a server without micro-batching runs).
+    :meth:`~repro.serving.RoomSession.step` — the engine's kernels at
+    B = 1, one call each for geometry, frame and visibility per step:
+    what a server without micro-batching runs.
     """
     sessions = []
     for room, target in workload:

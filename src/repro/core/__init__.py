@@ -15,7 +15,7 @@ from .evaluation import (
 from .metrics import mean_and_std, paired_p_value, pearson, spearman
 from .problem import DEFAULT_BETA, DEFAULT_MAX_RENDER, AfterProblem
 from .recommender import Recommender, scores_to_recommendation, top_k_mask
-from .scene import Frame, build_frame, distance_normalise
+from .scene import Frame, distance_normalise
 from .utility import StepUtility, UtilityAccumulator, step_utility
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_BETA",
     "DEFAULT_MAX_RENDER",
     "Frame",
-    "build_frame",
     "distance_normalise",
     "Recommender",
     "top_k_mask",

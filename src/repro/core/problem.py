@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..datasets.base import ConferenceRoom
-from .scene import Frame, build_episode_frames, build_frame
+from .scene import Frame, build_episode_frames
 
 __all__ = ["AfterProblem", "DEFAULT_BETA", "DEFAULT_MAX_RENDER"]
 
@@ -90,28 +90,6 @@ class AfterProblem:
         if not 0 <= t <= self.horizon:
             raise IndexError(f"step {t} outside horizon {self.horizon}")
         return self.episode_frames()[t]
-
-    def frame_from_graph(self, t: int, graph) -> Frame:
-        """Assemble the step-``t`` frame around an externally built graph.
-
-        The streaming path's frame assembly: a
-        :class:`~repro.serving.RoomSession` builds ``graph`` from live
-        positions and gets raw utility rows, MIA preprocessing and
-        block/allow-list pruning applied here.  The result equals
-        :meth:`frame_at` array for array whenever the graphs are equal
-        (``tests/core/test_episode_oracle.py`` pins it).
-        """
-        frame = build_frame(
-            t=t,
-            target=self.target,
-            graph=graph,
-            preference_row=self.room.preference[self.target],
-            presence_row=self.room.presence[self.target],
-            interfaces_mr=self.room.interfaces_mr,
-        )
-        if self.blocklist or self.allowlist is not None:
-            self._apply_lists(frame)
-        return frame
 
     def _apply_lists(self, frame: Frame) -> None:
         """Fold the block/allow lists into MIA's mask (footnote 8)."""

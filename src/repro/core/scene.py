@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import StaticOcclusionGraph, forced_presence_mask, \
-    physical_cover
+from ..geometry import StaticOcclusionGraph, physical_cover
 from ..geometry.batched import stacked_rooms_field
 
-__all__ = ["Frame", "build_frame", "build_episode_frames",
-           "build_room_frames", "distance_normalise"]
+__all__ = ["Frame", "build_episode_frames", "build_room_frames",
+           "distance_normalise"]
 
 
 def distance_normalise(utilities: np.ndarray, distances: np.ndarray,
@@ -130,143 +129,40 @@ class Frame:
         ])
 
 
-def build_frame(t: int, target: int, graph: StaticOcclusionGraph,
-                preference_row: np.ndarray, presence_row: np.ndarray,
-                interfaces_mr: np.ndarray) -> Frame:
-    """Assemble a frame from raw scenario data (MIA preprocessing)."""
-    interfaces_mr = np.asarray(interfaces_mr, dtype=bool)
-    forced = forced_presence_mask(interfaces_mr, target)
-    cover = physical_cover([graph.adjacency], graph.distances[None],
-                           forced[None], graph.body_radius)[0]
-    blocked = cover & ~forced
-    blocked[target] = False
-
-    mask = np.ones(graph.num_users, dtype=np.float64)
-    mask[target] = 0.0
-    mask[blocked] = 0.0
-
-    raw_preference = np.asarray(preference_row, dtype=np.float64).copy()
-    raw_presence = np.asarray(presence_row, dtype=np.float64).copy()
-    raw_preference[target] = 0.0
-    raw_presence[target] = 0.0
-
-    preference_row = raw_preference.copy()
-    presence_row = raw_presence.copy()
-    # MIA prunes physically occluded users by zeroing their utilities.
-    preference_row[blocked] = 0.0
-    presence_row[blocked] = 0.0
-
-    return Frame(
-        t=t,
-        target=target,
-        graph=graph,
-        preference=preference_row,
-        presence=presence_row,
-        preference_hat=distance_normalise(preference_row, graph.distances),
-        presence_hat=distance_normalise(presence_row, graph.distances),
-        distances=graph.distances,
-        interfaces_mr=interfaces_mr,
-        forced=forced,
-        blocked=blocked,
-        forced_occluded=cover & forced,
-        mask=mask,
-        raw_preference=raw_preference,
-        raw_presence=raw_presence,
-    )
-
-
 def build_episode_frames(target: int, graphs: list,
                          preference_row: np.ndarray,
                          presence_row: np.ndarray,
                          interfaces_mr: np.ndarray) -> list:
-    """Assemble every frame of an episode in a few vectorised passes.
-
-    Semantically identical to calling :func:`build_frame` once per
-    snapshot in ``graphs`` — the per-step masks and normalised utilities
-    are computed with the same elementwise operations, broadcast over
-    the time axis — but roughly an order of magnitude cheaper in Python
-    dispatch.  Each returned :class:`Frame` owns its row of the episode
-    arrays, so per-frame mutation (e.g. block/allow-list pruning) stays
-    frame-local; the ``forced`` mask and ``interfaces_mr`` are constant
-    over the episode and shared across frames.
-    """
-    interfaces_mr = np.asarray(interfaces_mr, dtype=bool)
-    forced = forced_presence_mask(interfaces_mr, target)
+    """Every frame of ``target``'s episode: :func:`build_room_frames`
+    over the ``T`` steps of ``graphs`` (one DOG's snapshots), each row
+    sharing the target's utility rows and the room's interfaces."""
     steps = len(graphs)
     count = graphs[0].num_users
-
-    distances = np.stack([graph.distances for graph in graphs])   # (T, N)
-    cover = physical_cover([graph.adjacency for graph in graphs], distances,
-                           np.broadcast_to(forced, distances.shape),
-                           graphs[0].body_radius)
-    blocked = cover & ~forced
-    blocked[:, target] = False
-    forced_occluded = cover & forced
-
-    mask = np.empty((steps, count))
-    mask.fill(1.0)
-    mask[:, target] = 0.0
-    mask[blocked] = 0.0
-
-    raw_preference = np.empty((steps, count))
-    raw_presence = np.empty((steps, count))
-    raw_preference[:] = np.asarray(preference_row, dtype=np.float64)[None, :]
-    raw_presence[:] = np.asarray(presence_row, dtype=np.float64)[None, :]
-    raw_preference[:, target] = 0.0
-    raw_presence[:, target] = 0.0
-
-    preference = np.empty((steps, count))
-    presence = np.empty((steps, count))
-    preference[:] = raw_preference
-    presence[:] = raw_presence
-    preference[blocked] = 0.0
-    presence[blocked] = 0.0
-
-    # distance_normalise, broadcast over steps (same elementwise ops).
-    scale = np.maximum(distances.max(axis=1), 1e-9)[:, None]
-    damping = 1.0 + (distances / scale) ** 2
-    preference_hat = np.divide(preference, damping,
-                               out=np.empty((steps, count)))
-    presence_hat = np.divide(presence, damping,
-                             out=np.empty((steps, count)))
-
-    return [
-        Frame(
-            t=t,
-            target=target,
-            graph=graphs[t],
-            preference=preference[t],
-            presence=presence[t],
-            preference_hat=preference_hat[t],
-            presence_hat=presence_hat[t],
-            distances=graphs[t].distances,
-            interfaces_mr=interfaces_mr,
-            forced=forced,
-            blocked=blocked[t],
-            forced_occluded=forced_occluded[t],
-            mask=mask[t],
-            raw_preference=raw_preference[t],
-            raw_presence=raw_presence[t],
-        )
-        for t in range(steps)
-    ]
+    return build_room_frames(
+        range(steps), np.full(steps, target), graphs,
+        np.broadcast_to(preference_row, (steps, count)),
+        np.broadcast_to(presence_row, (steps, count)),
+        np.broadcast_to(np.asarray(interfaces_mr, dtype=bool),
+                        (steps, count)))
 
 
 def build_room_frames(ts, targets, graphs, preference_rows,
                       presence_rows, interfaces_rows) -> list:
-    """Assemble one frame per *room* in a few broadcast passes.
+    """Assemble one frame per row in a few broadcast passes (MIA
+    preprocessing).
 
-    The cross-room companion of :func:`build_episode_frames`: element
-    ``b`` of every argument describes a *different* room at one instant
-    — its step index, target, occlusion graph (all graphs must share
-    ``num_users`` and ``body_radius``; the serving engine groups rooms
-    accordingly), the target's raw utility rows and the room's interface
-    mask.  Frame ``b`` of the result is identical to
-    ``build_frame(ts[b], targets[b], graphs[b], ...)``: the same
-    elementwise operations run over a broadcast leading room axis, and
-    forced/blocked are boolean so broadcasting cannot perturb them.
-    Each frame owns its row of the batched arrays, so downstream
-    per-frame mutation (block/allow-list pruning) stays frame-local.
+    Element ``b`` of every argument describes one frame: its step index,
+    target, occlusion graph (all graphs must share ``num_users`` and
+    ``body_radius``; the serving engine groups rooms accordingly), the
+    target's raw utility rows and the room's interface mask.  Rows may
+    be different rooms at one instant (the serving engine), one room (a
+    streamed step) or one target's episode (:func:`build_episode_frames`).
+    Per row: the forced users are every co-located MR participant iff
+    the target is MR; ``blocked`` users sit behind a nearer forced user
+    and are pruned from the mask and utilities; the utilities are
+    distance-normalised.  Each frame owns its row of the batched arrays,
+    so downstream per-frame mutation (block/allow-list pruning) stays
+    frame-local.
     """
     rooms = len(graphs)
     targets = np.asarray(targets, dtype=np.int64)
@@ -292,8 +188,8 @@ def build_room_frames(ts, targets, graphs, preference_rows,
 
     raw_preference = np.empty((rooms, distances.shape[1]))
     raw_presence = np.empty((rooms, distances.shape[1]))
-    raw_preference[:] = np.array(preference_rows, dtype=np.float64)
-    raw_presence[:] = np.array(presence_rows, dtype=np.float64)
+    raw_preference[:] = np.asarray(preference_rows, dtype=np.float64)
+    raw_presence[:] = np.asarray(presence_rows, dtype=np.float64)
     raw_preference[rows, targets] = 0.0
     raw_presence[rows, targets] = 0.0
 

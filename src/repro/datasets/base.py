@@ -16,7 +16,7 @@ import numpy as np
 
 from ..crowd import Trajectory
 from ..geometry import BatchedOcclusionConverter, DEFAULT_BODY_RADIUS, \
-    DynamicOcclusionGraph, OcclusionGraphConverter, Room
+    DynamicOcclusionGraph, Room
 from ..obs import EVENTS, PERF
 from ..social import SocialGraph
 
@@ -126,10 +126,6 @@ class ConferenceRoom:
         """Indices of remote (VR) participants."""
         return np.nonzero(~self.interfaces_mr)[0]
 
-    def converter(self) -> OcclusionGraphConverter:
-        """Occlusion converter matching this room's body radius."""
-        return OcclusionGraphConverter(body_radius=self.body_radius)
-
     def dog(self, target: int) -> DynamicOcclusionGraph:
         """Dynamic occlusion graph for ``target`` (cached per target).
 
@@ -150,9 +146,9 @@ class ConferenceRoom:
     def prebuild_dogs(self, targets) -> None:
         """Fill the DOG cache for many targets in one batched pass.
 
-        Uses :class:`~repro.geometry.BatchedOcclusionConverter`, whose
-        graphs equal the per-target :meth:`converter` path exactly
-        (``tests/geometry/test_batched_equivalence.py``).
+        All targets' ``(step, target)`` rows go through one
+        :meth:`~repro.geometry.BatchedOcclusionConverter.convert_dogs`
+        call at this room's body radius.
         """
         missing = np.array(sorted({int(t) for t in np.asarray(targets).ravel()}
                                   - set(self._dog_cache)), dtype=np.int64)
@@ -163,9 +159,10 @@ class ConferenceRoom:
                     targets=int(missing.size))
         with PERF.scope("room.prebuild_dogs",
                         {"room": self.name, "targets": int(missing.size)}):
-            batched = BatchedOcclusionConverter.like(self.converter())
+            converter = BatchedOcclusionConverter(
+                body_radius=self.body_radius)
             self._dog_cache.update(
-                batched.convert_dogs(self.trajectory.positions, missing))
+                converter.convert_dogs(self.trajectory.positions, missing))
 
     def episode_frames(self, target: int) -> list:
         """All frames of ``target``'s episode, built once and cached.

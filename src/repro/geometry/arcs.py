@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Arc", "arc_of_user", "angular_separation", "arcs_intersect",
-           "arc_intersection_matrix"]
+__all__ = ["Arc", "arc_of_user", "angular_separation", "arcs_intersect"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,7 +89,8 @@ def arcs_intersect(centers: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
     """Vectorised pairwise arc-intersection predicate.
 
     Parameters are per-user arrays; returns a boolean ``(N, N)`` matrix with
-    a False diagonal.
+    a False diagonal.  The dense reference form of the occlusion
+    converter's batched arc kernel, which must agree with it exactly.
     """
     centers = np.asarray(centers, dtype=np.float64)
     half_widths = np.asarray(half_widths, dtype=np.float64)
@@ -98,10 +98,3 @@ def arcs_intersect(centers: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
     overlap = separation <= (half_widths[:, None] + half_widths[None, :])
     np.fill_diagonal(overlap, False)
     return overlap
-
-
-def arc_intersection_matrix(arcs: list[Arc]) -> np.ndarray:
-    """Pairwise intersection matrix for a list of :class:`Arc` objects."""
-    centers = np.array([a.center for a in arcs])
-    half_widths = np.array([a.half_width for a in arcs])
-    return arcs_intersect(centers, half_widths)

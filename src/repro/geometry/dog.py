@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .occlusion import OcclusionGraphConverter, StaticOcclusionGraph
+from .occlusion import StaticOcclusionGraph
 
 __all__ = ["DynamicOcclusionGraph", "structural_delta"]
 
@@ -56,15 +56,6 @@ class DynamicOcclusionGraph:
         for snap in self.snapshots:
             if snap.target != self.target:
                 raise ValueError("snapshot target mismatch")
-
-    @classmethod
-    def from_trajectory(cls, trajectory: np.ndarray, target: int,
-                        converter: OcclusionGraphConverter | None = None
-                        ) -> "DynamicOcclusionGraph":
-        """Build a DOG from a ``(T, N, 2)`` trajectory."""
-        converter = converter or OcclusionGraphConverter()
-        return cls(target=target,
-                   snapshots=converter.convert_trajectory(trajectory, target))
 
     # ------------------------------------------------------------------
     # Container protocol

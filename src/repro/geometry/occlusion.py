@@ -1,24 +1,20 @@
-"""Occlusion graph converter (paper Sec. III-B).
+"""Static occlusion graphs (paper Sec. III-B).
 
-Given a single time instance of user trajectories, the converter places the
-target user ``v`` at the centre of a circle, computes the arc each
-surrounding user occupies in ``v``'s 360-degree view, and connects two
-users whenever their arcs intersect.  The result — a circular-arc graph
-plus the isolated node ``v`` — is the *static occlusion graph*
-``O_t^v = (V, E_t^v)``.
+At one time instance the target user ``v`` sits at the centre of a
+circle, every surrounding user occupies an arc of ``v``'s 360-degree
+view, and two users are connected whenever their arcs intersect.  The
+result — a circular-arc graph plus the isolated node ``v`` — is the
+*static occlusion graph* ``O_t^v = (V, E_t^v)``, built by
+:class:`~repro.geometry.BatchedOcclusionConverter`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import arcs_intersect
-from .space import project_to_floor
-
-__all__ = ["StaticOcclusionGraph", "OcclusionGraphConverter"]
+__all__ = ["StaticOcclusionGraph"]
 
 DEFAULT_BODY_RADIUS = 0.25  # metres; adult shoulder half-width
 
@@ -85,92 +81,3 @@ class StaticOcclusionGraph:
         out[~keep, :] = False
         out[:, ~keep] = False
         return out
-
-
-class OcclusionGraphConverter:
-    """Builds static occlusion graphs from floor positions.
-
-    Parameters
-    ----------
-    body_radius:
-        Radius of the disk each user's body projects onto the floor.
-    view_limit:
-        Optional maximum distance beyond which users do not take part in
-        the view (users outside never occlude nor get occluded).  ``None``
-        means unlimited (paper's 360-degree panoramic model).
-    """
-
-    def __init__(self, body_radius: float = DEFAULT_BODY_RADIUS,
-                 view_limit: float | None = None,
-                 fov: float | None = None):
-        if body_radius <= 0:
-            raise ValueError("body_radius must be positive")
-        if view_limit is not None and view_limit <= 0:
-            raise ValueError("view_limit must be positive when given")
-        if fov is not None and not 0.0 < fov <= 2.0 * math.pi:
-            raise ValueError("fov must be in (0, 2*pi] when given")
-        self.body_radius = body_radius
-        self.view_limit = view_limit
-        self.fov = fov
-
-    def convert(self, positions: np.ndarray, target: int,
-                facing: float = 0.0) -> StaticOcclusionGraph:
-        """Build the static occlusion graph for ``target`` at one instant.
-
-        ``facing`` (radians) only matters with a finite field of view
-        (``fov``): users outside the viewing cone neither occlude nor
-        get occluded — an extension beyond the paper's 360-degree
-        panoramic model, for headset-realistic viewports.
-        """
-        floor = project_to_floor(positions)
-        count = floor.shape[0]
-        if not 0 <= target < count:
-            raise IndexError(f"target {target} out of range for {count} users")
-
-        deltas = floor - floor[target]
-        distances = np.hypot(deltas[:, 0], deltas[:, 1])
-        centers = np.arctan2(deltas[:, 1], deltas[:, 0])
-        centers[target] = 0.0
-
-        ratio = np.ones(count)
-        np.divide(self.body_radius, distances, out=ratio,
-                  where=distances > self.body_radius)
-        half_widths = np.where(distances <= self.body_radius,
-                               math.pi / 2.0, np.arcsin(np.clip(ratio, 0.0, 1.0)))
-        half_widths[target] = 0.0
-
-        adjacency = arcs_intersect(centers, half_widths)
-        adjacency[target, :] = False
-        adjacency[:, target] = False
-
-        if self.view_limit is not None:
-            visible = distances <= self.view_limit
-            visible[target] = True
-            adjacency[~visible, :] = False
-            adjacency[:, ~visible] = False
-
-        if self.fov is not None:
-            from .arcs import angular_separation
-            in_cone = angular_separation(centers, facing) \
-                <= self.fov / 2.0 + half_widths
-            in_cone[target] = True
-            adjacency[~in_cone, :] = False
-            adjacency[:, ~in_cone] = False
-
-        return StaticOcclusionGraph(
-            target=target,
-            adjacency=adjacency,
-            distances=distances,
-            centers=centers,
-            half_widths=half_widths,
-            body_radius=self.body_radius,
-        )
-
-    def convert_trajectory(self, trajectory: np.ndarray,
-                           target: int) -> list[StaticOcclusionGraph]:
-        """Convert a ``(T, N, 2)`` trajectory into per-step static graphs."""
-        trajectory = np.asarray(trajectory, dtype=np.float64)
-        if trajectory.ndim != 3:
-            raise ValueError(f"expected (T,N,2) trajectory, got {trajectory.shape}")
-        return [self.convert(trajectory[t], target)
-                for t in range(trajectory.shape[0])]

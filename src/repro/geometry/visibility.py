@@ -19,10 +19,9 @@ import numpy as np
 from .batched import stacked_rooms_field
 from .occlusion import StaticOcclusionGraph
 
-__all__ = ["resolve_visibility", "resolve_visibility_with_occlusion",
-           "resolve_episode_visibility", "resolve_rooms_visibility",
-           "occlusion_rate", "forced_presence_mask", "physical_cover",
-           "physically_blocked_mask"]
+__all__ = ["resolve_visibility", "resolve_episode_visibility",
+           "resolve_rooms_visibility", "forced_presence_mask",
+           "physical_cover"]
 
 
 def forced_presence_mask(interfaces_mr: np.ndarray, target: int) -> np.ndarray:
@@ -41,137 +40,26 @@ def forced_presence_mask(interfaces_mr: np.ndarray, target: int) -> np.ndarray:
 
 
 def resolve_visibility(graph: StaticOcclusionGraph, rendered: np.ndarray,
-                       forced: np.ndarray | None = None,
-                       depth_margin: float | None = None) -> np.ndarray:
-    """Compute ``1[v => w]`` for every present user ``w``.
+                       forced: np.ndarray | None = None) -> np.ndarray:
+    """``1[v => w]`` for every user ``w`` at one frame.
 
-    Semantics (derived from the paper's Theorem 1, whose utility equals
-    the weight of an *independent set* in the occlusion graph, plus its
-    hybrid-participation anecdotes):
-
-    * **avatar vs avatar** — symmetric and depth-free: two rendered
-      virtual users whose arcs overlap clutter each other, and *neither*
-      is clearly seen.  (This is exactly why "render everyone" fails in
-      a crowded room.)
-    * **avatar vs physical person** — depth compositing: a meaningfully
-      nearer avatar is drawn over a physical participant (Fig. 2b:
-      "recommends user C to occlude the irrelevant co-located user D"),
-      while a meaningfully nearer physical person hides an avatar behind
-      them.
-    * **physical vs physical** — real optics: the meaningfully nearer
-      person occludes.
-
-    "Meaningfully nearer" means nearer by at least ``depth_margin``
-    (default: one body radius) — two people shoulder to shoulder both
-    stay recognisable.
-
-    Parameters
-    ----------
-    graph:
-        The static occlusion graph at the current step.
-    rendered:
-        Boolean mask of users returned by the recommender.
-    forced:
-        Boolean mask of physically present users (may overlap rendered).
-
-    Returns
-    -------
-    Boolean array: True where ``w`` is present and clearly seen.  The
-    target's own entry is always False.
+    ``rendered`` is the recommender's mask and ``forced`` the physically
+    present users (may overlap ``rendered``; default none).  True where
+    ``w`` is present and clearly seen, never for the target itself.  The
+    one-frame entry over the batched kernel (see :func:`_resolve_display`
+    for the depth rules); the graph's adjacency must be symmetric, as
+    every converter-built graph is.
     """
     rendered = np.asarray(rendered, dtype=bool)
-    if forced is None:
-        forced = np.zeros_like(rendered)
-    forced = np.asarray(forced, dtype=bool).copy()
-    if depth_margin is None:
-        depth_margin = graph.body_radius
-
+    forced = np.zeros(rendered.shape, dtype=bool) if forced is None \
+        else np.array(forced, dtype=bool)
     forced[graph.target] = False
-    virtual = rendered.copy()
-    virtual[graph.target] = False
-    virtual &= ~forced
-    present = virtual | forced
-
-    visible = present.copy()
-    idx = np.nonzero(present)[0]
-    if idx.size == 0:
-        return visible
-
-    adjacency = graph.adjacency
-    distances = graph.distances
-    nearer = distances[None, :] < distances[:, None] - depth_margin
-
-    # Avatar cluttered by any other rendered avatar (symmetric).
-    clutter = (adjacency & virtual[None, :]).any(axis=1) & virtual
-    # Avatar hidden behind a meaningfully nearer physical person.
-    behind_physical = (adjacency & forced[None, :] & nearer).any(axis=1) \
-        & virtual
-    # Physical person occluded by a nearer physical person or covered by
-    # a nearer rendered avatar.
-    covered = (adjacency & (forced | virtual)[None, :] & nearer).any(axis=1) \
-        & forced
-
-    visible &= ~(clutter | behind_physical | covered)
-    return visible
-
-
-def resolve_visibility_with_occlusion(graph: StaticOcclusionGraph,
-                                      rendered: np.ndarray,
-                                      forced: np.ndarray | None = None,
-                                      depth_margin: float | None = None
-                                      ) -> tuple:
-    """``(resolve_visibility(...), occlusion_rate(...))`` in one pass.
-
-    The evaluation hot path needs both the visibility indicator and the
-    per-step occlusion rate for the *same* ``(graph, rendered, forced)``
-    triple; calling :func:`resolve_visibility` and
-    :func:`occlusion_rate` separately resolves visibility twice.  This
-    function resolves once, and restricts every pairwise operation to
-    the *present* users (at most ``max_render`` rendered avatars plus
-    the forced MR participants) instead of all ``N`` — exactly
-    equivalent, because every clutter/occlusion term is conjoined with a
-    present-user mask, so absent rows and columns never contribute.
-
-    Returns the boolean visibility array and the occlusion rate float,
-    each identical to its standalone counterpart.
-    """
-    rendered = np.asarray(rendered, dtype=bool)
-    if forced is None:
-        forced = np.zeros_like(rendered)
-    forced = np.asarray(forced, dtype=bool).copy()
-    if depth_margin is None:
-        depth_margin = graph.body_radius
-
-    forced[graph.target] = False
-    virtual = rendered.copy()
-    virtual[graph.target] = False
-    virtual &= ~forced
-    present = virtual | forced
-
-    visible = present.copy()
-    idx = np.nonzero(present)[0]
-    if idx.size:
-        sub_adjacency = graph.adjacency[np.ix_(idx, idx)]
-        sub_distances = graph.distances[idx]
-        sub_virtual = virtual[idx]
-        sub_forced = forced[idx]
-        nearer = sub_distances[None, :] < sub_distances[:, None] - depth_margin
-
-        clutter = (sub_adjacency & sub_virtual[None, :]).any(axis=1) \
-            & sub_virtual
-        behind_physical = (sub_adjacency & sub_forced[None, :]
-                           & nearer).any(axis=1) & sub_virtual
-        covered = (sub_adjacency & (sub_forced | sub_virtual)[None, :]
-                   & nearer).any(axis=1) & sub_forced
-        visible[idx] = ~(clutter | behind_physical | covered)
-
-    shown = rendered.copy()
-    shown[graph.target] = False
-    total = int(shown.sum())
-    if total == 0:
-        return visible, 0.0
-    occluded = int((shown & ~visible).sum())
-    return visible, occluded / total
+    adjacency, distances = [graph.adjacency], graph.distances[None]
+    cover = physical_cover(adjacency, distances, forced[None],
+                           graph.body_radius)
+    return _resolve_display(adjacency, distances, graph.target,
+                            rendered[None], forced[None], cover & ~forced,
+                            cover & forced, graph.body_radius)[0][0]
 
 
 def resolve_episode_visibility(graphs: list, rendered: np.ndarray,
@@ -184,9 +72,8 @@ def resolve_episode_visibility(graphs: list, rendered: np.ndarray,
     episode's ``(N,)`` forced-presence mask and ``blocked`` /
     ``forced_occluded`` are the ``(T, N)`` recommendation-independent
     masks its frames carry (``Frame.blocked``, ``Frame.forced_occluded``).
-    Step ``t`` of the result equals ``resolve_visibility_with_occlusion(
-    graphs[t], rendered[t], forced)`` exactly.  Returns ``(visible,
-    rates)`` of shapes ``(T, N)`` and ``(T,)``.
+    Step ``t`` of the result is frame ``t`` resolved alone.  Returns
+    ``(visible, rates)`` of shapes ``(T, N)`` and ``(T,)``.
     """
     first = graphs[0]
     return _resolve_display(
@@ -204,9 +91,8 @@ def resolve_rooms_visibility(graphs: list, rendered: np.ndarray,
     used by the serving engine's micro-batches: row ``b`` of each
     ``(B, N)`` argument belongs to a different room (all rooms sharing
     ``num_users`` and ``body_radius`` — the engine groups them so), and
-    row ``b`` of the result equals
-    ``resolve_visibility_with_occlusion(graphs[b], rendered[b],
-    forced[b])`` exactly.  An empty batch yields ``(0, N)`` / ``(0,)``.
+    row ``b`` of the result is room ``b`` resolved alone.  An empty
+    batch yields ``(0, N)`` / ``(0,)``.
 
     Returns ``(visible, rates)`` of shapes ``(B, N)`` and ``(B,)``.
     """
@@ -224,24 +110,53 @@ def _resolve_display(adjacency, distances: np.ndarray, targets,
                      rendered: np.ndarray, forced: np.ndarray,
                      blocked: np.ndarray, forced_occluded: np.ndarray,
                      depth_margin: float) -> tuple:
-    """The batched visibility kernel: ``B`` frames in O(B · R · N).
+    """The visibility kernel: ``B`` frames in O(B · R · N).
 
-    Row ``b`` equals ``resolve_visibility_with_occlusion`` on frame
-    ``b`` exactly; every term is boolean algebra over the dense
-    resolver's, split by who occludes whom:
+    Returns ``(visible, rates)``: per frame, ``visible[b, w]`` is
+    ``1[v => w]`` and ``rates[b]`` the per-step "View Occlusion (%)"
+    metric of the paper's tables, the fraction of *rendered* users
+    (target excluded) that are not clearly seen; an empty
+    recommendation contributes 0.
+
+    Semantics (derived from the paper's Theorem 1, whose utility equals
+    the weight of an *independent set* in the occlusion graph, plus its
+    hybrid-participation anecdotes).  A user is *present* if rendered
+    (a virtual avatar) or forced (physically there); a forced user
+    counts as physical even when also rendered, and the target never
+    counts.  A present user is clearly seen unless:
+
+    * **avatar vs avatar** — symmetric and depth-free: two rendered
+      virtual users whose arcs overlap clutter each other, and
+      *neither* is clearly seen.  (This is exactly why "render
+      everyone" fails in a crowded room.)
+    * **avatar vs physical person** — depth compositing: a meaningfully
+      nearer avatar is drawn over a physical participant (Fig. 2b:
+      "recommends user C to occlude the irrelevant co-located user
+      D"), while a meaningfully nearer physical person hides an avatar
+      behind them.
+    * **physical vs physical** — real optics: the meaningfully nearer
+      person occludes.
+
+    "Meaningfully nearer" means nearer by at least ``depth_margin``
+    (one body radius) — two people shoulder to shoulder both stay
+    recognisable.
+
+    The terms split by who occludes whom:
 
     * physical × physical — ``forced_occluded``, and avatar behind a
       physical person — ``blocked`` on the virtual rows: both are
-      independent of the recommendation, so the frame builders compute
+      independent of the recommendation, so frame assembly computes
       them once (:func:`physical_cover`);
     * what is left involves a rendered avatar, so only the ``R``
       virtual rows of each adjacency are read: avatar clutter among
       them, and a forced user covered by a nearer avatar.
 
-    Reading rows for columns requires a symmetric adjacency, which
-    both occlusion-graph converters produce.  ``adjacency`` is any
-    length-``B`` sequence of ``(N, N)`` matrices; ``targets`` one
-    target per row or a single shared one.
+    Reading rows for columns requires a symmetric adjacency, which the
+    occlusion-graph converter produces.  ``adjacency`` is any length-``B``
+    sequence of ``(N, N)`` matrices; ``targets`` one target per row or
+    a single shared one.  ``tests/oracles.py`` holds the dense
+    O(N²)-per-frame resolver these rules were first written as, and the
+    suites check every row against it.
     """
     shown = np.array(rendered, dtype=bool)
     shown[np.arange(shown.shape[0]), targets] = False
@@ -269,9 +184,9 @@ def _occluder_rows(adjacency, distances: np.ndarray,
     occluder set: ``rows[b, k]`` is the adjacency row of frame ``b``'s
     ``k``-th occluder (ascending; padded slots are all False) and
     ``nearer[b, k, w]`` holds where that occluder is meaningfully nearer
-    than ``w`` — the same float compare as the dense resolver's
-    ``nearer[w, k]``.  By symmetry ``rows.any(axis=1)[b, w]`` is "some
-    occluder's arc meets ``w``'s", at O(K · N) instead of O(N²).
+    than ``w``: ``d[k] < d[w] - depth_margin``.  By symmetry
+    ``rows.any(axis=1)[b, w]`` is "some occluder's arc meets ``w``'s",
+    at O(K · N) instead of O(N²).
     """
     occluders = np.asarray(occluders, dtype=bool)
     width = int(occluders.sum(axis=1).max(initial=0))
@@ -296,7 +211,7 @@ def physical_cover(adjacency, distances: np.ndarray, forced: np.ndarray,
     computes it once per frame: its non-forced rows are MIA's
     ``blocked`` set (and the "avatar behind a physical person" term),
     its forced rows the "physical person behind a physical person"
-    term of :func:`resolve_visibility`.
+    term of :func:`_resolve_display`.
     """
     cover = np.zeros(distances.shape, dtype=bool)
     # Frames of VR targets force no one: skip them instead of padding
@@ -309,39 +224,3 @@ def physical_cover(adjacency, distances: np.ndarray, forced: np.ndarray,
                                   depth_margin)
     cover[some] = (rows & nearer).any(axis=1)
     return cover
-
-
-def physically_blocked_mask(graph: StaticOcclusionGraph,
-                            forced: np.ndarray,
-                            depth_margin: float | None = None) -> np.ndarray:
-    """Users that can never be seen because a physical user blocks them.
-
-    MIA prunes these candidates: rendering a user whose arc is covered by a
-    *nearer co-located MR participant* is ineffective, since the physical
-    person cannot be derendered.  Forced users themselves are not marked.
-    """
-    forced = np.asarray(forced, dtype=bool)
-    if depth_margin is None:
-        depth_margin = graph.body_radius
-    blocked = physical_cover([graph.adjacency], graph.distances[None],
-                             forced[None], depth_margin)[0]
-    blocked[forced] = False
-    blocked[graph.target] = False
-    return blocked
-
-
-def occlusion_rate(graph: StaticOcclusionGraph, rendered: np.ndarray,
-                   forced: np.ndarray | None = None) -> float:
-    """Fraction of *recommended* users that end up occluded at this step.
-
-    This is the per-step "View Occlusion (%)" metric from the paper's
-    result tables; an empty recommendation contributes 0.
-    """
-    rendered = np.asarray(rendered, dtype=bool).copy()
-    rendered[graph.target] = False
-    total = int(rendered.sum())
-    if total == 0:
-        return 0.0
-    visible = resolve_visibility(graph, rendered, forced)
-    occluded = int((rendered & ~visible).sum())
-    return occluded / total

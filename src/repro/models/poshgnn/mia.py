@@ -10,8 +10,9 @@ MIA turns the raw social-XR scene at step ``t`` into the POSHGNN inputs:
 * ``A_t`` — the occlusion adjacency consumed by the GNN layers.
 
 The utility pruning/normalisation half of MIA lives in frame assembly
-(:func:`repro.core.scene.build_frame`); this class adds the temporal part
-(tracking ``A_{t-1}`` across calls) and packages everything.
+(:func:`repro.core.scene.build_room_frames`); this class adds the
+temporal part (tracking ``A_{t-1}`` across calls) and packages
+everything.
 """
 
 from __future__ import annotations

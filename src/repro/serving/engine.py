@@ -1,14 +1,17 @@
 """Cross-room micro-batching session engine with admission control.
 
-Stepping ``B`` live rooms one at a time re-pays the scalar geometry
+Stepping ``B`` live rooms one at a time re-pays the kernels' NumPy
 dispatch ``B`` times per tick.  :class:`SessionEngine` instead queues
 submitted frames per session and, on each :meth:`pump`, collects up to
 ``max_batch`` pending steps (at most one per room, so per-room order
-stays monotone), groups them by ``(num_users, body_radius)`` and builds
+stays monotone) and runs them through :func:`step_sessions`, the one
+step path: it groups them by ``(num_users, body_radius)`` and builds
 every group's occlusion graphs in **one** call to
 :meth:`~repro.geometry.batched.BatchedOcclusionConverter.convert_rooms`.
 Frame assembly and visibility are batched per group the same way;
-only the recommender forward runs per room.
+only the recommender forward runs per room.  A streamed
+:meth:`~repro.serving.RoomSession.step` is the same function with one
+room.
 
 Admission control is *deterministic*: shed and degrade decisions depend
 only on the queue depth at :meth:`submit` time — pure arithmetic over
@@ -34,13 +37,15 @@ import numpy as np
 from ..core.problem import AfterProblem
 from ..core.recommender import Recommender
 from ..core.scene import build_room_frames
+from ..geometry import project_to_floor
 from ..geometry.batched import BatchedOcclusionConverter
 from ..geometry.visibility import resolve_rooms_visibility
 from ..obs import DEFAULT_COUNT_BOUNDARIES, EVENTS, PERF
 from .session import RoomSession, RosterChange, SessionMerge, \
     SessionSnapshot, SessionSplit, SessionStep, carried_seeds, merge_change
 
-__all__ = ["StepTicket", "PendingStep", "SessionEngine"]
+__all__ = ["StepTicket", "PendingStep", "SessionEngine", "floor_frame",
+           "step_sessions"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,114 @@ class PendingStep:
 
 #: Backwards-compatible alias for the pre-migration private name.
 _Pending = PendingStep
+
+
+def floor_frame(session_id: str, positions, num_users: int) -> np.ndarray:
+    """One submitted frame as ``(num_users, 2)`` floor coordinates.
+
+    Accepts ``(num_users, 2)`` floor points or ``(num_users, 3)``
+    paper-convention ``(x, 0, z)`` points; anything else raises
+    ``ValueError`` naming the session.  Projecting up front lets 2- and
+    3-column frames share one ``(B, N, 2)`` geometry group.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] not in (2, 3) \
+            or positions.shape[0] != num_users:
+        raise ValueError(
+            f"frame for session {session_id!r} has shape "
+            f"{positions.shape}; expected ({num_users}, 2) floor or "
+            f"({num_users}, 3) (x, 0, z) positions")
+    return project_to_floor(positions)
+
+
+def step_sessions(steps: list, converters: dict) -> list[SessionStep]:
+    """Advance each ``(session, positions, degraded)`` by one frame.
+
+    The one step path: each :meth:`SessionEngine.pump` runs its
+    micro-batch through it, and :meth:`RoomSession.step` runs it with
+    one room.  ``positions`` are a :func:`floor_frame`.  Geometry, frame
+    assembly and visibility run once per *group* (rooms sharing
+    ``(num_users, body_radius)``) through the batched kernels; only the
+    recommender forward — the one genuinely per-room piece — and the
+    bookkeeping run per session.  Every kernel row equals that room
+    stepped alone, so a batch equals stepping each room alone.
+    ``converters`` caches one converter per body radius for the caller.
+    Returns one record per entry, in order.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, (session, positions, _) in enumerate(steps):
+        # Key off the *frame's* width, not a cached session shape:
+        # churn can resize a room between submit and pump, and a
+        # stale key would land a mismatched room in a (B, N, N)
+        # geometry stack.  Queue-ordered churn markers guarantee
+        # the session has reached the frame's shape by now.
+        count = int(positions.shape[0])
+        if count != session.num_users:
+            raise RuntimeError(
+                f"session {session.session_id!r} is serving a "
+                f"{count}-user frame at roster width "
+                f"{session.num_users}; a roster change was applied "
+                f"out of queue order")
+        key = (count, session.problem.room.body_radius)
+        groups.setdefault(key, []).append(index)
+
+    group_graphs: dict[tuple, list] = {}
+    with PERF.scope("serving.geometry"):
+        for (count, body_radius), indices in groups.items():
+            stacked = np.empty((len(indices), count, 2))
+            np.stack([steps[i][1] for i in indices], out=stacked)
+            targets = np.array(
+                [steps[i][0].problem.target for i in indices],
+                dtype=np.int64)
+            converter = converters.get(body_radius)
+            if converter is None:
+                converter = BatchedOcclusionConverter(
+                    body_radius=body_radius)
+                converters[body_radius] = converter
+            # Keep the RoomGraphs batch container intact per group:
+            # the frame and visibility kernels reuse its contiguous
+            # arrays instead of re-stacking per-room views.
+            group_graphs[(count, body_radius)] = converter.convert_rooms(
+                stacked, targets)
+
+    frames: list = [None] * len(steps)
+    with PERF.scope("serving.frames"):
+        for key, indices in groups.items():
+            problems = [steps[i][0].problem for i in indices]
+            built = build_room_frames(
+                [steps[i][0].next_step for i in indices],
+                [problem.target for problem in problems],
+                group_graphs[key],
+                [problem.room.preference[problem.target]
+                 for problem in problems],
+                [problem.room.presence[problem.target]
+                 for problem in problems],
+                [problem.room.interfaces_mr for problem in problems])
+            for slot, problem, frame in zip(indices, problems, built):
+                if problem.blocklist or problem.allowlist is not None:
+                    problem._apply_lists(frame)
+                frames[slot] = frame
+
+    with PERF.scope("serving.recommend"):
+        outputs = [session.recommend_step(frame, degraded=degraded)
+                   for (session, _, degraded), frame in zip(steps, frames)]
+
+    records: list = [None] * len(steps)
+    with PERF.scope("serving.visibility"):
+        for key, indices in groups.items():
+            visible, rates = resolve_rooms_visibility(
+                group_graphs[key],
+                np.stack([outputs[i][0] for i in indices]),
+                np.stack([frames[i].forced for i in indices]),
+                np.stack([frames[i].blocked for i in indices]),
+                np.stack([frames[i].forced_occluded for i in indices]))
+            for row, slot in enumerate(indices):
+                session, _, degraded = steps[slot]
+                rendered, recommend_s = outputs[slot]
+                records[slot] = session.complete_step(
+                    frames[slot], rendered, recommend_s,
+                    visible[row], rates[row], degraded=degraded)
+    return records
 
 
 class SessionEngine:
@@ -266,17 +379,23 @@ class SessionEngine:
 
         The decision depends only on :attr:`queue_depth`, so the full
         shed/degrade pattern of a run is a deterministic function of
-        the submit/pump call sequence.
+        the submit/pump call sequence.  A frame must be
+        ``(num_users, 2)`` floor or ``(num_users, 3)`` ``(x, 0, z)``
+        positions at the roster width of the queue tail; anything else
+        raises ``ValueError`` before it is queued.  The queue stores its
+        floor projection.
         """
         if session_id not in self._sessions:
             raise KeyError(f"unknown session {session_id!r}")
         session = self._sessions[session_id]
-        frame_users = int(np.asarray(positions).shape[0])
+        positions = np.asarray(positions, dtype=np.float64)
         expected = self._tail_users[session_id]
-        if frame_users != expected:
+        if positions.ndim and positions.shape[0] != expected:
             raise ValueError(
-                f"frame for session {session_id!r} has {frame_users} "
-                f"users but the roster at the queue tail has {expected}")
+                f"frame for session {session_id!r} has "
+                f"{positions.shape[0]} users but the roster at the queue "
+                f"tail has {expected}")
+        floor = floor_frame(session_id, positions, expected)
         queue = self._queues[session_id]
         t = session.next_step + sum(
             1 for p in queue if p.change is None)
@@ -294,9 +413,8 @@ class SessionEngine:
         degraded = (self.degrade_at is not None
                     and self._queued >= self.degrade_at)
         self._queues[session_id].append(
-            PendingStep(positions=np.asarray(positions, dtype=np.float64),
-                     degraded=degraded, shed=False,
-                     submitted_at=time.perf_counter()))
+            PendingStep(positions=floor, degraded=degraded, shed=False,
+                        submitted_at=time.perf_counter()))
         self._queued += 1
         PERF.observe("serving.queue_depth", float(self._queued),
                      boundaries=DEFAULT_COUNT_BOUNDARIES)
@@ -460,102 +578,15 @@ class SessionEngine:
                 self._cursor = (start + offset + 1) % len(session_ids)
         return batch, shed
 
-    def _converter(self, body_radius: float) -> BatchedOcclusionConverter:
-        cached = self._converters.get(body_radius)
-        if cached is None:
-            cached = BatchedOcclusionConverter(body_radius=body_radius)
-            self._converters[body_radius] = cached
-        return cached
-
     def _run_batch(self,
                    batch: list[tuple[RoomSession, PendingStep]]) -> list:
-        """One micro-batch: batched kernels around per-room recommenders.
-
-        Geometry, frame assembly and visibility run once per *group*
-        (rooms sharing ``(num_users, body_radius)``) through the batched
-        cross-room kernels; only the recommender forward — the one
-        genuinely per-room piece — runs per session.  Every kernel is
-        bit-identical to its scalar counterpart, so the whole batch
-        equals stepping each room alone.
-        """
-        groups: dict[tuple, list[int]] = {}
-        for index, (session, pending) in enumerate(batch):
-            # Key off the *frame's* width, not a cached session shape:
-            # churn can resize a room between submit and pump, and a
-            # stale key would land a mismatched room in a (B, N, N)
-            # geometry stack.  Queue-ordered churn markers guarantee
-            # the session has reached the frame's shape by now.
-            count = int(pending.positions.shape[0])
-            if count != session.num_users:
-                raise RuntimeError(
-                    f"session {session.session_id!r} is serving a "
-                    f"{count}-user frame at roster width "
-                    f"{session.num_users}; a roster change was applied "
-                    f"out of queue order")
-            key = (count, session.problem.room.body_radius)
-            groups.setdefault(key, []).append(index)
-
-        group_graphs: dict[tuple, list] = {}
-        with PERF.scope("serving.geometry"):
-            for (count, body_radius), indices in groups.items():
-                first = np.asarray(batch[indices[0]][1].positions)
-                stacked = np.empty(
-                    (len(indices),) + first.shape, first.dtype)
-                np.stack([batch[i][1].positions for i in indices],
-                         out=stacked)
-                targets = np.array(
-                    [batch[i][0].problem.target for i in indices],
-                    dtype=np.int64)
-                # Keep the RoomGraphs batch container intact per group:
-                # the frame and visibility kernels reuse its contiguous
-                # arrays instead of re-stacking per-room views.
-                group_graphs[(count, body_radius)] = \
-                    self._converter(body_radius).convert_rooms(
-                        stacked, targets)
-
-        frames: list = [None] * len(batch)
-        with PERF.scope("serving.frames"):
-            for key, indices in groups.items():
-                built = build_room_frames(
-                    [batch[i][0].next_step for i in indices],
-                    [batch[i][0].problem.target for i in indices],
-                    group_graphs[key],
-                    [batch[i][0].problem.room.preference[
-                        batch[i][0].problem.target] for i in indices],
-                    [batch[i][0].problem.room.presence[
-                        batch[i][0].problem.target] for i in indices],
-                    [batch[i][0].problem.room.interfaces_mr
-                     for i in indices])
-                for slot, frame in zip(indices, built):
-                    problem = batch[slot][0].problem
-                    if problem.blocklist or problem.allowlist is not None:
-                        problem._apply_lists(frame)
-                    frames[slot] = frame
-
-        with PERF.scope("serving.recommend"):
-            outputs = [session.recommend_step(frame,
-                                              degraded=pending.degraded)
-                       for (session, pending), frame in zip(batch, frames)]
-
-        records: list = [None] * len(batch)
-        with PERF.scope("serving.visibility"):
-            for key, indices in groups.items():
-                visible, rates = resolve_rooms_visibility(
-                    group_graphs[key],
-                    np.stack([outputs[i][0] for i in indices]),
-                    np.stack([frames[i].forced for i in indices]),
-                    np.stack([frames[i].blocked for i in indices]),
-                    np.stack([frames[i].forced_occluded for i in indices]))
-                for row, slot in enumerate(indices):
-                    session, pending = batch[slot]
-                    rendered, recommend_s = outputs[slot]
-                    records[slot] = session.complete_step(
-                        frames[slot], rendered, recommend_s,
-                        visible[row], rates[row],
-                        degraded=pending.degraded)
-
+        """One micro-batch through :func:`step_sessions`, then the
+        engine's latency and batch-size bookkeeping."""
+        records = step_sessions(
+            [(session, pending.positions, pending.degraded)
+             for session, pending in batch], self._converters)
         done = time.perf_counter()
-        for (session, pending), record in zip(batch, records):
+        for (_, pending), record in zip(batch, records):
             record.latency_s = done - pending.submitted_at
             PERF.observe("serving.step_latency_s", record.latency_s)
             PERF.count("serving.steps_degraded"

@@ -6,14 +6,17 @@ delivers one position frame at a time, and the recommender's carried
 state (LWP's ``h_{t-1}``/``r_{t-1}``, MIA's ``A_{t-1}``, the previous
 visibility indicator) must persist across those arrivals.
 
-:class:`RoomSession` is that carrier.  Each :meth:`step` builds the
-static occlusion graph for the *current* positions only, assembles the
-frame through :meth:`~repro.core.problem.AfterProblem.frame_from_graph`,
-runs the recommender, resolves visibility and accumulates utility —
-each metric exactly as it is defined per step.  A streamed room is
-**bit-identical** to :func:`evaluate_episode` on the same trajectory —
-recommendations, utilities and carried state alike.  ``tests/serving/``
-pins that contract with a hypothesis property suite.
+:class:`RoomSession` is that carrier.  Each :meth:`step` runs the
+serving engine's group step (:func:`~repro.serving.engine.step_sessions`)
+with this one room: the batched kernels build the static occlusion
+graph for the *current* positions only, assemble the frame and resolve
+visibility around the recommender call, and the session accumulates
+utility — each metric exactly as it is defined per step.  A streamed
+room is **bit-identical** to :func:`evaluate_episode` on the same
+trajectory — recommendations, utilities and carried state alike.
+``tests/serving/`` pins that contract with a hypothesis property suite,
+and ``tests/core/test_episode_oracle.py`` against the dense per-step
+oracle.
 
 Sessions also support mid-stream :meth:`suspend`/:meth:`~RoomSession.resume`
 (handing a room to another engine without losing carried state) and
@@ -34,8 +37,6 @@ from ..core.problem import AfterProblem
 from ..core.recommender import Recommender, checked_render_mask, \
     top_k_mask
 from ..core.utility import StepUtility, UtilityAccumulator, step_utility
-from ..geometry import OcclusionGraphConverter
-from ..geometry.visibility import resolve_visibility_with_occlusion
 from ..mwis import solve_mwis_greedy
 
 __all__ = ["SessionStep", "SessionSnapshot", "RoomSession",
@@ -210,8 +211,7 @@ class RoomSession:
             else f"{problem.room.name}/t{problem.target}"
         self.fallback = fallback if fallback is not None \
             else GreedyMWISFallback()
-        self._converter = OcclusionGraphConverter(
-            body_radius=problem.room.body_radius)
+        self._converters: dict = {}   # body radius -> batched converter
         self._started = False
         self._reset_state()
 
@@ -246,32 +246,16 @@ class RoomSession:
 
     # ------------------------------------------------------------------
     def step(self, positions: np.ndarray) -> SessionStep:
-        """Advance one frame from live positions (serial geometry).
+        """Advance one frame from live positions.
 
-        Builds the target's static occlusion graph for these positions
-        with the scalar converter and applies it.  The engine path skips
-        this method and batches the geometry across rooms instead.
+        ``positions`` is ``(num_users, 2)`` floor or ``(num_users, 3)``
+        ``(x, 0, z)`` coordinates; any other shape raises
+        ``ValueError``.  Runs the engine's group step with this one
+        room, so a streamed step and a pumped one share every kernel.
         """
-        graph = self._converter.convert(np.asarray(positions,
-                                                   dtype=np.float64),
-                                        self.problem.target)
-        return self.apply_graph(graph)
-
-    def apply_graph(self, graph, *, degraded: bool = False) -> SessionStep:
-        """Advance one frame whose occlusion graph was already built.
-
-        One step of the per-step definition: frame assembly via
-        ``frame_from_graph``, recommender call, target knocked out of
-        the render mask, visibility + occlusion resolution, utility
-        accumulation, carried-state advance.
-        """
-        frame = self.problem.frame_from_graph(self._t_next, graph)
-        rendered, recommend_s = self.recommend_step(frame,
-                                                    degraded=degraded)
-        visible, occlusion = resolve_visibility_with_occlusion(
-            graph, rendered, frame.forced)
-        return self.complete_step(frame, rendered, recommend_s, visible,
-                                  occlusion, degraded=degraded)
+        from .engine import floor_frame, step_sessions  # engine imports us
+        floor = floor_frame(self.session_id, positions, self.num_users)
+        return step_sessions([(self, floor, False)], self._converters)[0]
 
     def recommend_step(self, frame, *, degraded: bool = False) -> tuple:
         """The recommender half of a step: ``(rendered, recommend_s)``.
@@ -279,9 +263,8 @@ class RoomSession:
         Runs the (primary or fallback) recommender on an assembled
         frame, refuses a mask that is not one flag per user, and knocks
         the target out of it.  Split from :meth:`complete_step` so the
-        engine can finish steps with *batched* visibility kernels;
-        ``step``/``apply_graph`` compose the same halves, so every path
-        shares one recommender-invocation sequence.
+        group step can resolve visibility for the whole group between
+        the two halves.
         """
         if not self._started:
             raise RuntimeError(
@@ -305,12 +288,8 @@ class RoomSession:
                       degraded: bool = False) -> SessionStep:
         """The bookkeeping half: utility, carried state, step record.
 
-        ``visible``/``occlusion`` come either from the dense resolver
-        (:meth:`apply_graph`) or from one row of the engine's batched
-        :func:`~repro.geometry.resolve_rooms_visibility` call, which
-        reads only the rendered avatars' adjacency rows and the frame's
-        ``blocked``/``forced_occluded`` masks — the two are
-        bit-identical by contract.
+        ``visible``/``occlusion`` are this room's row of the group's
+        :func:`~repro.geometry.resolve_rooms_visibility` call.
         """
         utility = step_utility(frame.preference, frame.presence, visible,
                                self._visible_previous, rendered)
@@ -399,8 +378,6 @@ class RoomSession:
             record.rendered = project(record.rendered, None)
         self.recommender.reroster(change.problem, keep)
         self.problem = change.problem
-        self._converter = OcclusionGraphConverter(
-            body_radius=change.problem.room.body_radius)
         self.churn_count += 1
 
     def retire_users(self, users) -> RosterChange:
@@ -620,10 +597,11 @@ def stream_episode(problem: AfterProblem,
                    recommender: Recommender) -> EpisodeResult:
     """Stream one problem's full trajectory through a serial session.
 
-    The per-step walk left in ``src/``, used as a parity check: feeds
-    ``problem.room.trajectory`` frame by frame and returns the episode
-    result — bit-identical recommendations and utilities to
-    :func:`~repro.core.evaluation.evaluate_episode`.
+    Feeds ``problem.room.trajectory`` frame by frame (the engine's group
+    step at B = 1) and returns the episode result — bit-identical
+    recommendations and utilities to
+    :func:`~repro.core.evaluation.evaluate_episode`.  A parity check for
+    the serving path and the evaluation harness's reference.
     """
     session = RoomSession(problem, recommender).begin()
     positions = problem.room.trajectory.positions

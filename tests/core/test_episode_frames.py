@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import AfterProblem
-from repro.core.scene import build_episode_frames, build_frame, \
-    build_room_frames
+from repro.core.scene import build_episode_frames, build_room_frames
 from repro.datasets import RoomConfig, generate_room
-from repro.geometry import resolve_visibility
+from tests.oracles import build_frame, resolve_visibility
 
 FRAME_ARRAYS = ("preference", "presence", "preference_hat", "presence_hat",
                 "distances", "forced", "blocked", "forced_occluded", "mask",

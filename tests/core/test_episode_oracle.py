@@ -8,7 +8,7 @@ episodes, and checks it bit for bit against the per-step oracle
 (``tests/oracles.py``) and against :func:`repro.serving.stream_episode`.
 Two equalities the walk rests on are pinned directly: ``frame_at`` equals
 a frame built around the dense converter's graph, and the room's lazy
-DOG equals the dense ``from_trajectory`` build.
+DOG equals the dense converter's trajectory build.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AfterProblem, build_frame, evaluate_episode
+from repro.core import AfterProblem, evaluate_episode
 from repro.crowd.simulator import Trajectory
 from repro.datasets import RoomConfig, generate_room
 from repro.geometry import DynamicOcclusionGraph
@@ -26,7 +26,8 @@ from repro.models.baselines import MvAGCRecommender, NearestRecommender, \
     RandomRecommender, RenderAllRecommender
 from repro.obs import PERF
 from repro.serving import stream_episode
-from tests.oracles import episode_oracle
+from tests.oracles import OcclusionGraphConverter, build_frame, \
+    episode_oracle, frame_from_graph
 
 from .test_episode_frames import FRAME_ARRAYS
 
@@ -108,8 +109,9 @@ def room():
 
 
 def dense_dog(room, target):
-    return DynamicOcclusionGraph.from_trajectory(
-        room.trajectory.positions, target, room.converter())
+    converter = OcclusionGraphConverter(body_radius=room.body_radius)
+    return DynamicOcclusionGraph(target, converter.convert_trajectory(
+        room.trajectory.positions, target))
 
 
 def assert_graphs_equal(expected, actual):
@@ -145,7 +147,7 @@ def test_listed_frame_at_equals_frame_from_graph_on_the_dense_graph(room):
     problem = AfterProblem(room, target, blocklist=[1, 2],
                            allowlist=range(12))
     for t in range(problem.horizon + 1):
-        assert_frame_arrays_equal(problem.frame_from_graph(t, dense[t]),
+        assert_frame_arrays_equal(frame_from_graph(problem, t, dense[t]),
                                   problem.frame_at(t))
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import AfterProblem, evaluate_episode
-from repro.geometry import OcclusionGraphConverter
 from repro.models import RandomRecommender, POSHGNN
+from tests.oracles import OcclusionGraphConverter
 
 
 class TestBlocklist:

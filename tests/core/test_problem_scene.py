@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import AfterProblem, build_frame, distance_normalise
-from repro.geometry import OcclusionGraphConverter
+from repro.core import AfterProblem, distance_normalise
+from tests.oracles import OcclusionGraphConverter, build_frame
 
 
 class TestAfterProblem:

@@ -58,7 +58,7 @@ class TestSimulatedCrowdSeparation:
     def test_min_distance_bounds_arc_width(self):
         """Non-penetration caps occlusion arcs below ~90 degrees for
         other users' views (the property that keeps Nearest viable)."""
-        from repro.geometry import OcclusionGraphConverter
+        from tests.oracles import OcclusionGraphConverter
         room = Room.square(6.0)
         trajectory = CrowdSimulator(room, seed=1).simulate(30, 5)
         graph = OcclusionGraphConverter().convert(trajectory[5], 0)

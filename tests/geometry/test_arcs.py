@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.geometry import (
     Arc,
     angular_separation,
-    arc_intersection_matrix,
     arc_of_user,
     arcs_intersect,
 )
+from tests.oracles import arc_intersection_matrix
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi,
                    allow_nan=False, allow_infinity=False)

@@ -1,10 +1,17 @@
-"""Golden equivalence: batched converter vs per-target converter.
+"""Golden equivalence: the batched converter vs the dense oracle.
 
-The batched all-targets converter promises *exact* float64 equality with
-:meth:`OcclusionGraphConverter.convert` — adjacency, distances, centers
-and half-widths — for every target, including the ``view_limit`` and
-``fov`` variants.  These tests pin that contract.
+Every production occlusion graph comes from
+:meth:`BatchedOcclusionConverter.convert_rooms`, either directly (rows of
+``(positions, target)``: one frame's targets, or one target per room)
+or through :meth:`~BatchedOcclusionConverter.convert_dogs` (a
+trajectory's ``(step, target)`` rows).  It promises *exact* float64
+equality with the dense per-target oracle
+:meth:`tests.oracles.OcclusionGraphConverter.convert` — adjacency,
+distances, centers and half-widths — for every row, including the
+``view_limit`` and ``fov`` variants.  These tests pin that contract.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +19,17 @@ import pytest
 from repro.geometry import (
     BatchedOcclusionConverter,
     DynamicOcclusionGraph,
-    OcclusionGraphConverter,
 )
+from tests.oracles import OcclusionGraphConverter
+
+
+def convert_frame(converter, positions, targets, facing=0.0):
+    """All ``targets``' graphs at one instant: one row per target."""
+    positions = np.asarray(positions, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64).ravel()
+    return converter.convert_rooms(
+        np.broadcast_to(positions, (targets.size,) + positions.shape),
+        targets, facing=facing)
 
 
 def _assert_graphs_equal(reference, batched):
@@ -41,20 +57,21 @@ def test_convert_frame_matches_per_target(seed, kwargs):
 
     reference = OcclusionGraphConverter(**kwargs)
     batched = BatchedOcclusionConverter(**kwargs)
-    frame = batched.convert_frame(positions, targets, facing=0.7)
+    frame = convert_frame(batched, positions, targets, facing=0.7)
     for slot, target in enumerate(targets):
         _assert_graphs_equal(reference.convert(positions, int(target),
                                                facing=0.7),
-                             frame.graph(slot))
+                             frame[slot])
 
 
 def test_convert_frame_handles_coincident_positions():
     positions = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     reference = OcclusionGraphConverter()
-    frame = BatchedOcclusionConverter().convert_frame(positions, [0, 1, 2, 3])
+    frame = convert_frame(BatchedOcclusionConverter(), positions,
+                          [0, 1, 2, 3])
     for slot, target in enumerate(range(4)):
         _assert_graphs_equal(reference.convert(positions, target),
-                             frame.graph(slot))
+                             frame[slot])
 
 
 @pytest.mark.parametrize("depth", [2, 3])
@@ -65,12 +82,11 @@ def test_convert_trajectory_matches_per_target(depth):
     targets = [0, 4, 11]
 
     reference = OcclusionGraphConverter()
-    snapshot_lists = BatchedOcclusionConverter().convert_trajectory(
-        trajectory, targets)
-    for slot, target in enumerate(targets):
+    dogs = BatchedOcclusionConverter().convert_dogs(trajectory, targets)
+    for target in targets:
         expected = reference.convert_trajectory(trajectory, target)
-        assert len(snapshot_lists[slot]) == horizon
-        for ref_graph, batched_graph in zip(expected, snapshot_lists[slot]):
+        assert len(dogs[target]) == horizon
+        for ref_graph, batched_graph in zip(expected, dogs[target]):
             _assert_graphs_equal(ref_graph, batched_graph)
 
 
@@ -79,12 +95,11 @@ def test_convert_dogs_matches_from_trajectory():
     trajectory = rng.uniform(-3, 3, size=(5, 12, 2))
     targets = [2, 9]
     converter = OcclusionGraphConverter()
-    dogs = BatchedOcclusionConverter.like(converter).convert_dogs(
-        trajectory, targets)
+    dogs = BatchedOcclusionConverter().convert_dogs(trajectory, targets)
     assert sorted(dogs) == targets
     for target in targets:
-        expected = DynamicOcclusionGraph.from_trajectory(
-            trajectory, target, converter)
+        expected = DynamicOcclusionGraph(
+            target, converter.convert_trajectory(trajectory, target))
         assert len(dogs[target]) == len(expected)
         for ref_graph, batched_graph in zip(expected, dogs[target]):
             _assert_graphs_equal(ref_graph, batched_graph)
@@ -97,13 +112,13 @@ def test_small_kernel_chunks_match_unchunked():
     rng = np.random.default_rng(3)
     positions = rng.uniform(-5, 5, size=(20, 2))
     targets = np.arange(20)
-    full = BatchedOcclusionConverter().convert_frame(positions, targets)
+    full = convert_frame(BatchedOcclusionConverter(), positions, targets)
 
     original = batched_module._KERNEL_WORKSPACE_ELEMENTS
     batched_module._KERNEL_WORKSPACE_ELEMENTS = 1   # 1 target per chunk
     try:
-        chunked = BatchedOcclusionConverter().convert_frame(positions,
-                                                            targets)
+        chunked = convert_frame(BatchedOcclusionConverter(), positions,
+                                targets)
     finally:
         batched_module._KERNEL_WORKSPACE_ELEMENTS = original
     np.testing.assert_array_equal(full.adjacency, chunked.adjacency)
@@ -148,7 +163,7 @@ def test_batched_adjacency_is_symmetric(kwargs):
     rooms = converter.convert_rooms(positions, [0, 3, 9, 24], facing=0.7)
     np.testing.assert_array_equal(rooms.adjacency,
                                   rooms.adjacency.transpose(0, 2, 1))
-    frame = converter.convert_frame(positions[0], range(25), facing=0.7)
+    frame = convert_frame(converter, positions[0], range(25), facing=0.7)
     np.testing.assert_array_equal(frame.adjacency,
                                   frame.adjacency.transpose(0, 2, 1))
 
@@ -187,19 +202,98 @@ def test_rejects_out_of_range_targets():
     positions = np.zeros((4, 2))
     converter = BatchedOcclusionConverter()
     with pytest.raises(IndexError):
-        converter.convert_frame(positions, [0, 4])
+        convert_frame(converter, positions, [0, 4])
     with pytest.raises(IndexError):
-        converter.convert_trajectory(np.zeros((2, 4, 2)), [-1])
+        converter.convert_dogs(np.zeros((2, 4, 2)), [-1])
     with pytest.raises(ValueError):
-        converter.convert_trajectory(np.zeros((4, 2)), [0])
+        converter.convert_dogs(np.zeros((4, 2)), [0])
 
 
 def test_multi_target_graphs_container():
+    """One frame's targets as rows: per-target views of one batch."""
     rng = np.random.default_rng(5)
     positions = rng.uniform(-2, 2, size=(8, 2))
-    frame = BatchedOcclusionConverter().convert_frame(positions, [1, 6])
-    assert frame.num_targets == 2
-    graphs = frame.graphs()
-    assert [g.target for g in graphs] == [1, 6]
-    # graph() returns views over the batched arrays, not copies
-    assert graphs[0].adjacency.base is frame.adjacency
+    frame = convert_frame(BatchedOcclusionConverter(), positions, [1, 6])
+    assert len(frame) == 2
+    assert [g.target for g in frame] == [1, 6]
+    # the graphs are views over the batched arrays, not copies
+    assert frame[0].adjacency.base is frame.adjacency
+    dogs = BatchedOcclusionConverter().convert_dogs(positions[None], [1, 6])
+    assert dogs[1][0].adjacency.base is dogs[6][0].adjacency.base
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"body_radius": 0.0},
+    {"body_radius": -0.25},
+    {"view_limit": 0.0},
+    {"view_limit": -1.0},
+    {"fov": 0.0},
+    {"fov": -1.0},
+    {"fov": 2.0 * math.pi + 1e-9},
+])
+def test_converter_rejects_invalid_parameters(kwargs):
+    with pytest.raises(ValueError):
+        BatchedOcclusionConverter(**kwargs)
+
+
+def test_converter_accepts_boundary_parameters():
+    converter = BatchedOcclusionConverter(body_radius=1e-9, view_limit=1e-9,
+                                          fov=2.0 * math.pi)
+    assert converter.fov == 2.0 * math.pi
+
+
+def assert_dogs_match_oracle(trajectory, targets, **kwargs):
+    """Every (step, target) snapshot of ``convert_dogs`` == the oracle."""
+    dogs = BatchedOcclusionConverter(**kwargs).convert_dogs(trajectory,
+                                                            targets)
+    reference = OcclusionGraphConverter(**kwargs)
+    assert sorted(dogs) == sorted(int(target) for target in targets)
+    for target in targets:
+        assert len(dogs[target]) == len(trajectory)
+        for t, graph in enumerate(dogs[target]):
+            _assert_graphs_equal(reference.convert(trajectory[t], target),
+                                 graph)
+    return dogs
+
+
+def test_convert_dogs_single_user_is_the_target_alone():
+    trajectory = np.random.default_rng(2).uniform(-1, 1, size=(4, 1, 2))
+    dogs = assert_dogs_match_oracle(trajectory, [0])
+    for graph in dogs[0]:
+        assert graph.adjacency.shape == (1, 1)
+        assert not graph.adjacency.any()
+        assert graph.distances[0] == 0.0
+
+
+def test_convert_dogs_coincident_users_fill_half_the_view():
+    frame = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [3.0, 3.0],
+                      [3.0, 3.0]])
+    trajectory = np.stack([frame, frame + 0.5, frame[::-1].copy()])
+    dogs = assert_dogs_match_oracle(trajectory, range(5))
+    assert dogs[0][0].half_widths[1] == math.pi / 2
+    assert dogs[0][0].half_widths[2] == math.pi / 2
+    assert dogs[3][0].half_widths[4] == math.pi / 2
+
+
+def test_convert_dogs_projects_three_column_trajectories():
+    rng = np.random.default_rng(17)
+    floor = rng.uniform(-4, 4, size=(5, 14, 2))
+    points = np.stack([floor[..., 0], rng.uniform(0, 2, size=(5, 14)),
+                       floor[..., 1]], axis=-1)
+    dogs = assert_dogs_match_oracle(points, [0, 6, 13])
+    flat = BatchedOcclusionConverter().convert_dogs(floor, [0, 6, 13])
+    for target in (0, 6, 13):
+        for a, b in zip(dogs[target], flat[target]):
+            _assert_graphs_equal(a, b)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"view_limit": 3.0},
+    {"fov": 2.0},
+    {"view_limit": 3.0, "fov": 1.5},
+    {"body_radius": 0.45, "fov": 2.0 * math.pi},
+])
+def test_convert_dogs_view_limit_and_fov_match_oracle(kwargs):
+    rng = np.random.default_rng(23)
+    trajectory = rng.uniform(-5, 5, size=(6, 18, 2))
+    assert_dogs_match_oracle(trajectory, [0, 5, 17], **kwargs)

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    DynamicOcclusionGraph,
-    OcclusionGraphConverter,
+    BatchedOcclusionConverter,
     arc_of_user,
     structural_delta,
 )
 
-from tests.oracles import dense_structural_delta
+from tests.oracles import OcclusionGraphConverter, dense_structural_delta
 
 
 @st.composite
@@ -125,7 +124,7 @@ def test_structural_delta_matches_dense_oracle_bytes(pair):
 @given(positions_strategy(min_users=4, max_users=8), st.integers(2, 5))
 def test_dog_static_trajectory_has_constant_graphs(positions, steps):
     trajectory = np.stack([positions] * steps)
-    dog = DynamicOcclusionGraph.from_trajectory(trajectory, 0)
+    dog = BatchedOcclusionConverter().convert_dogs(trajectory, [0])[0]
     np.testing.assert_array_equal(dog.edge_change_counts(), 0)
     for t in range(1, steps):
         np.testing.assert_array_equal(dog.adjacency(t), dog.adjacency(0))

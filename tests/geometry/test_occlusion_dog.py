@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from repro.geometry import (
+    BatchedOcclusionConverter,
     DynamicOcclusionGraph,
-    OcclusionGraphConverter,
     structural_delta,
 )
+from tests.oracles import OcclusionGraphConverter
+
+
+def dog_from_trajectory(trajectory, target):
+    """``target``'s DOG through the production converter."""
+    return BatchedOcclusionConverter().convert_dogs(trajectory,
+                                                    [target])[target]
 
 
 def collinear_positions():
@@ -127,7 +134,7 @@ class TestDynamicOcclusionGraph:
         return np.stack(frames)
 
     def test_from_trajectory_length(self):
-        dog = DynamicOcclusionGraph.from_trajectory(self.make_trajectory(), 0)
+        dog = dog_from_trajectory(self.make_trajectory(), 0)
         assert len(dog) == 5
         assert dog.horizon == 4
 
@@ -142,27 +149,27 @@ class TestDynamicOcclusionGraph:
             DynamicOcclusionGraph(target=0, snapshots=[])
 
     def test_adjacency_before_start_is_zero(self):
-        dog = DynamicOcclusionGraph.from_trajectory(self.make_trajectory(), 0)
+        dog = dog_from_trajectory(self.make_trajectory(), 0)
         np.testing.assert_allclose(dog.adjacency(-1), 0.0)
 
     def test_delta_at_zero_equals_initial_structure(self):
-        dog = DynamicOcclusionGraph.from_trajectory(self.make_trajectory(), 0)
+        dog = dog_from_trajectory(self.make_trajectory(), 0)
         delta = dog.delta(0)
         np.testing.assert_allclose(delta[:, 1], dog.adjacency(0).sum(axis=1))
 
     def test_edge_change_counts_shape(self):
-        dog = DynamicOcclusionGraph.from_trajectory(self.make_trajectory(), 0)
+        dog = dog_from_trajectory(self.make_trajectory(), 0)
         assert dog.edge_change_counts().shape == (4,)
 
     def test_static_scene_has_no_changes(self):
         frames = np.stack([collinear_positions()] * 4)
-        dog = DynamicOcclusionGraph.from_trajectory(frames, 0)
+        dog = dog_from_trajectory(frames, 0)
         np.testing.assert_array_equal(dog.edge_change_counts(), 0)
 
     def test_mean_edge_density_in_unit_interval(self):
-        dog = DynamicOcclusionGraph.from_trajectory(self.make_trajectory(), 0)
+        dog = dog_from_trajectory(self.make_trajectory(), 0)
         assert 0.0 <= dog.mean_edge_density() <= 1.0
 
     def test_iteration_yields_snapshots(self):
-        dog = DynamicOcclusionGraph.from_trajectory(self.make_trajectory(), 0)
+        dog = dog_from_trajectory(self.make_trajectory(), 0)
         assert all(snap.target == 0 for snap in dog)

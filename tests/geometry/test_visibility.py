@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.geometry import (
-    OcclusionGraphConverter,
-    forced_presence_mask,
-    occlusion_rate,
-    physically_blocked_mask,
-    resolve_visibility,
-)
+from repro.geometry import forced_presence_mask, resolve_visibility
+from tests.oracles import OcclusionGraphConverter, occlusion_rate, \
+    physically_blocked_mask
 
 
 def line_scene():

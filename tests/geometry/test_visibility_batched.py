@@ -1,17 +1,34 @@
-"""Single-pass and episode-level visibility vs the standalone functions."""
+"""The visibility kernel at B = 1 and per episode vs the dense oracles.
+
+``resolve_visibility_with_occlusion`` here is one frame through the
+production kernel (``resolve_rooms_visibility`` with one row), returning
+visibility and occlusion rate together; ``resolve_visibility`` and
+``occlusion_rate`` are the dense standalone oracles.
+"""
 
 import numpy as np
 import pytest
 
 from repro.geometry import (
-    OcclusionGraphConverter,
     forced_presence_mask,
-    occlusion_rate,
     physical_cover,
     resolve_episode_visibility,
-    resolve_visibility,
-    resolve_visibility_with_occlusion,
+    resolve_rooms_visibility,
 )
+from tests.oracles import OcclusionGraphConverter, occlusion_rate, \
+    resolve_visibility
+
+
+def resolve_visibility_with_occlusion(graph, rendered, forced=None):
+    """``(visible, rate)`` for one frame from the production kernel."""
+    if forced is None:
+        forced = np.zeros(len(rendered), dtype=bool)
+    cover = physical_cover([graph.adjacency], graph.distances[None],
+                           forced[None], graph.body_radius)
+    visible, rates = resolve_rooms_visibility(
+        [graph], np.asarray(rendered)[None], forced[None], cover & ~forced,
+        cover & forced)
+    return visible[0], rates[0]
 
 
 def random_scene(rng, count):
@@ -76,7 +93,6 @@ def test_episode_resolution_matches_per_step(seed):
     assert visible.shape == (horizon, count)
     assert rates.shape == (horizon,)
     for t in range(horizon):
-        step_visible, step_rate = resolve_visibility_with_occlusion(
-            graphs[t], rendered[t], forced)
-        np.testing.assert_array_equal(visible[t], step_visible)
-        assert rates[t] == step_rate
+        np.testing.assert_array_equal(
+            visible[t], resolve_visibility(graphs[t], rendered[t], forced))
+        assert rates[t] == occlusion_rate(graphs[t], rendered[t], forced)

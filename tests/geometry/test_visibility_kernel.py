@@ -3,10 +3,10 @@
 ``resolve_episode_visibility`` and ``resolve_rooms_visibility`` read only
 the rendered avatars' adjacency rows and take the recommendation-
 independent physical terms as precomputed masks.  Every row they return
-must equal ``resolve_visibility_with_occlusion`` on that frame exactly,
-for MR and VR targets, render masks that include the target and forced
-users, render widths from 0 to wider than the display budget, and
-graphs built with ``view_limit`` and ``fov``.
+must equal the dense oracles ``resolve_visibility`` and ``occlusion_rate``
+on that frame exactly, for MR and VR targets, render masks that include
+the target and forced users, render widths from 0 to wider than the
+display budget, and graphs built with ``view_limit`` and ``fov``.
 """
 
 import numpy as np
@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     BatchedOcclusionConverter,
-    OcclusionGraphConverter,
     forced_presence_mask,
     physical_cover,
     resolve_episode_visibility,
     resolve_rooms_visibility,
-    resolve_visibility_with_occlusion,
 )
+from tests.oracles import OcclusionGraphConverter, occlusion_rate, \
+    resolve_visibility
 
 MAX_RENDER = 8
 
@@ -73,10 +73,9 @@ def assert_rows_match_dense(graphs, rendered, forced, visible, rates):
     assert visible.shape == rendered.shape
     assert rates.shape == (len(graphs),)
     for b, graph in enumerate(graphs):
-        expected, rate = resolve_visibility_with_occlusion(
-            graph, rendered[b], forced[b])
-        np.testing.assert_array_equal(visible[b], expected)
-        assert rates[b] == rate
+        np.testing.assert_array_equal(
+            visible[b], resolve_visibility(graph, rendered[b], forced[b]))
+        assert rates[b] == occlusion_rate(graph, rendered[b], forced[b])
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AfterProblem, evaluate_episode, step_utility
-from repro.core.scene import build_frame
 from repro.datasets import RoomConfig, generate_timik_room
-from repro.geometry import (
-    OcclusionGraphConverter,
-    occlusion_rate,
-    resolve_visibility,
-)
+from repro.geometry import resolve_visibility
 from repro.models import RandomRecommender
+from tests.oracles import OcclusionGraphConverter, build_frame, \
+    occlusion_rate
 
 
 @st.composite

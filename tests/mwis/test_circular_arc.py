@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import OcclusionGraphConverter
 from repro.mwis import (
     arcs_from_occlusion_graph,
     is_independent_set,
@@ -16,6 +15,7 @@ from repro.mwis import (
     solve_interval_mwis,
     solve_mwis_exact,
 )
+from tests.oracles import OcclusionGraphConverter
 
 
 class TestIntervalMWIS:

@@ -14,12 +14,13 @@ Three bugs pinned here:
   return value undercounted ticks.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import AfterProblem
 from repro.models.baselines import NearestRecommender
 from repro.obs import EventLog
-from repro.serving import SessionEngine
+from repro.serving import RoomSession, SessionEngine
 
 from .conftest import make_room
 
@@ -265,3 +266,69 @@ class TestBatchGroupingUnderResize:
             with pytest.raises(RuntimeError,
                                match="out of queue order"):
                 engine.pump()
+
+
+def lift(floor, height=1.7):
+    """Floor ``(N, 2)`` points as paper-convention ``(x, y, z)`` points."""
+    return np.column_stack([floor[:, 0], np.full(len(floor), height),
+                            floor[:, 1]])
+
+
+def step_bytes(record):
+    """Everything a processed step reports, as comparable values."""
+    return (record.t, record.rendered.tobytes(), record.occlusion_rate,
+            record.utility.preference, record.utility.presence,
+            record.degraded)
+
+
+class TestFrameShapes:
+    """Frames are validated at submit: ``(num_users, 2)`` floor or
+    ``(num_users, 3)`` ``(x, 0, z)`` points, stored as their floor
+    projection.  Mixed widths used to share a group key and fail the
+    whole pump inside ``np.stack`` after both steps were dequeued; an
+    ``(N, 1)`` frame passed submit and failed its batch at pump time."""
+
+    def test_mixed_2d_3d_pump_equals_all_2d(self):
+        results = []
+        for mixed in (False, True):
+            with SessionEngine(max_batch=8) as engine:
+                rooms = open_rooms(engine, 3, num_steps=5)
+                records = []
+                for t in range(5):
+                    for index, (sid, room) in enumerate(rooms):
+                        floor = room.trajectory.positions[t]
+                        engine.submit(sid, lift(floor)
+                                      if mixed and index != 1 else floor)
+                    records.extend(engine.pump())
+                results.append(
+                    ([step_bytes(record) for record in records],
+                     [engine.session(sid).result().per_step_after.tobytes()
+                      for sid, _ in rooms]))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 4), (8,), (7, 2),
+                                       (7, 3), (8, 2, 1)])
+    def test_bad_shape_raises_at_submit_before_queueing(self, shape):
+        with SessionEngine(max_batch=4) as engine:
+            (sid, room), = open_rooms(engine, 1, num_users=8)
+            engine.submit(sid, room.trajectory.positions[0])
+            depth = engine.queue_depth
+            with pytest.raises(ValueError, match=sid):
+                engine.submit(sid, np.zeros(shape))
+            assert engine.queue_depth == depth
+            assert len(engine._queues[sid]) == depth
+            assert [record.t for record in engine.drain()] == [0]
+
+    def test_wrong_width_step_raises_value_error(self):
+        room = make_room("timik", 8, 3, seed=201)
+        session = RoomSession(AfterProblem(room=room, target=0),
+                              NearestRecommender()).begin()
+        floor = room.trajectory.positions[0]
+        for bad in (floor[:, :1], np.zeros((8, 4)), floor[:5]):
+            with pytest.raises(ValueError, match="expected"):
+                session.step(bad)
+        assert session.next_step == 0
+        lifted = RoomSession(AfterProblem(room=room, target=0),
+                             NearestRecommender()).begin()
+        assert step_bytes(session.step(floor)) \
+            == step_bytes(lifted.step(lift(floor)))
