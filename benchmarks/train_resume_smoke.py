@@ -13,9 +13,7 @@ Proves the fault-tolerance story end to end on a tiny room:
    uninterrupted run;
 4. repeat the kill-and-resume for a recurrent baseline's ``fit()``
    (DCRNN multi-restart training through the same engine);
-5. repeat it on the **batched** multi-room BPTT path (``batch_rooms``),
-   whose stacked eager windows must land bit-identical too;
-6. generate a tiny bench table twice against one run directory and
+5. generate a tiny bench table twice against one run directory and
    assert the second pass **skips** the completed method (the
    ``bench: skipping fit of`` log line + a complete manifest).
 
@@ -53,9 +51,6 @@ KILL_EXIT_CODE = 37
 
 BASELINE_FIT = dict(epochs=4, restarts=2, save_every=1)
 BASELINE_KILL_AFTER = 3   # epoch-end callbacks before the hard kill
-
-BATCHED_FIT = dict(epochs=4, restarts=1, save_every=1, batch_rooms=2)
-BATCHED_KILL_AFTER = 2
 
 
 def _problems():
@@ -97,20 +92,6 @@ def run_child_baseline(run_dir: str) -> None:
     raise SystemExit("baseline child was supposed to be killed mid-run")
 
 
-def run_child_batched(run_dir: str) -> None:
-    """Batched-path DCRNN fit that dies abruptly mid-run."""
-    calls = []
-
-    def kill_switch(engine, epoch, history):
-        calls.append(epoch)
-        if len(calls) >= BATCHED_KILL_AFTER:
-            os._exit(KILL_EXIT_CODE)
-
-    DCRNNRecommender(seed=0).fit(_problems(), run_dir=run_dir,
-                                 on_epoch_end=kill_switch, **BATCHED_FIT)
-    raise SystemExit("batched child was supposed to be killed mid-run")
-
-
 def _spawn_child(phase: str, directory: str) -> int:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -133,13 +114,13 @@ def smoke_poshgnn() -> list:
     """Phases 1-3: POSHGNN trainer kill-and-resume."""
     problems = _problems()
 
-    print(f"[1/6] uninterrupted POSHGNN reference run ({EPOCHS} epochs)")
+    print(f"[1/5] uninterrupted POSHGNN reference run ({EPOCHS} epochs)")
     gold_model = POSHGNN(seed=0)
     gold = _make_trainer(gold_model).train(problems)
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="resume-smoke-") as directory:
-        print(f"[2/6] checkpointing run, hard-killed after epoch "
+        print(f"[2/5] checkpointing run, hard-killed after epoch "
               f"{KILL_AFTER} (subprocess)")
         returncode = _spawn_child("child", directory)
         if returncode != KILL_EXIT_CODE:
@@ -151,7 +132,7 @@ def smoke_poshgnn() -> list:
         if not saved:
             return ["killed run left no checkpoints"]
 
-        print(f"[3/6] resuming from {directory} to epoch {EPOCHS}")
+        print(f"[3/5] resuming from {directory} to epoch {EPOCHS}")
         resumed_model = POSHGNN(seed=0)
         resumed = _make_trainer(resumed_model, directory).train(
             problems, resume_from=directory)
@@ -181,7 +162,7 @@ def smoke_baseline() -> list:
     problems = _problems()
     failures = []
     with tempfile.TemporaryDirectory(prefix="resume-smoke-dcrnn-") as root:
-        print(f"[4/6] DCRNN fit: uninterrupted reference, then "
+        print(f"[4/5] DCRNN fit: uninterrupted reference, then "
               f"hard-killed subprocess + resume")
         gold_model = DCRNNRecommender(seed=0)
         gold = gold_model.fit(problems, run_dir=os.path.join(root, "gold"),
@@ -215,46 +196,8 @@ def smoke_baseline() -> list:
     return failures
 
 
-def smoke_batched() -> list:
-    """Phase 5: DCRNN kill-and-resume on the batched path."""
-    problems = _problems()
-    failures = []
-    with tempfile.TemporaryDirectory(prefix="resume-smoke-batched-") as root:
-        print("[5/6] batched DCRNN fit (batch_rooms=2): "
-              "uninterrupted reference, then hard-killed subprocess "
-              "+ resume")
-        gold_model = DCRNNRecommender(seed=0)
-        gold = gold_model.fit(problems, run_dir=os.path.join(root, "gold"),
-                              **BATCHED_FIT)
-
-        run_dir = os.path.join(root, "run")
-        returncode = _spawn_child("child-batched", run_dir)
-        if returncode != KILL_EXIT_CODE:
-            return [f"batched child exited {returncode}, expected "
-                    f"kill code {KILL_EXIT_CODE}"]
-
-        resumed_model = DCRNNRecommender(seed=0)
-        resumed = resumed_model.fit(problems, run_dir=run_dir,
-                                    resume_from=run_dir, **BATCHED_FIT)
-
-        if gold["loss"] != resumed["loss"]:
-            failures.append("batched loss history diverged")
-        if gold["train_utility"] != resumed["train_utility"]:
-            failures.append("batched train_utility diverged")
-        gold_params = {name: parameter.data
-                       for name, parameter in gold_model.named_parameters()}
-        resumed_params = {
-            name: parameter.data
-            for name, parameter in resumed_model.named_parameters()}
-        _compare_states(gold_params, resumed_params, failures)
-        if not failures:
-            print(f"      OK: resumed batched DCRNN fit bit-identical "
-                  f"({len(gold_params)} parameter tensors)")
-    return failures
-
-
 def smoke_bench_resume() -> list:
-    """Phase 6: a re-generated bench table skips completed methods."""
+    """Phase 5: a re-generated bench table skips completed methods."""
     from repro.bench import BenchConfig, TRAIN_ALPHA0, prepare_room
     from repro.bench.experiments import _bench_fit_complete, \
         _fit_and_evaluate
@@ -262,7 +205,7 @@ def smoke_bench_resume() -> list:
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="resume-smoke-bench-") as root:
-        print("[6/6] tiny bench table twice against one REPRO_RUN_DIR; "
+        print("[5/5] tiny bench table twice against one REPRO_RUN_DIR; "
               "second pass must skip the completed fit")
         config = BenchConfig(num_users=NUM_USERS, num_steps=5,
                              train_targets=1, eval_targets=2,
@@ -295,8 +238,7 @@ def smoke_bench_resume() -> list:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--phase", default="driver",
-                        choices=["driver", "child", "child-baseline",
-                                 "child-batched"])
+                        choices=["driver", "child", "child-baseline"])
     parser.add_argument("--checkpoint-dir", default=None)
     args = parser.parse_args()
 
@@ -306,13 +248,9 @@ def main() -> int:
     if args.phase == "child-baseline":
         run_child_baseline(args.checkpoint_dir)
         return 1  # unreachable
-    if args.phase == "child-batched":
-        run_child_batched(args.checkpoint_dir)
-        return 1  # unreachable
 
     failures = smoke_poshgnn()
     failures += smoke_baseline()
-    failures += smoke_batched()
     failures += smoke_bench_resume()
 
     if failures:
@@ -320,8 +258,8 @@ def main() -> int:
         for failure in failures:
             print("  " + failure)
         return 1
-    print("OK: POSHGNN + DCRNN (serial and batched) kill-and-resume "
-          "bit-identical; bench table resume skips completed fits")
+    print("OK: POSHGNN + DCRNN kill-and-resume bit-identical; "
+          "bench table resume skips completed fits")
     return 0
 
 

@@ -40,7 +40,6 @@ from ...nn import (
 from ...nn import functional as F
 from ...obs import DEFAULT_VALUE_BOUNDARIES, PERF
 from ...training import CheckpointManager, GuardConfig
-from ...training.batched import BatchedBPTTRunner, RoomEpisode
 from ...training.engine import (
     RestartAttempt,
     TrainableSpec,
@@ -59,9 +58,6 @@ FEATURE_DIM = 4
 class _RecurrentTrainSpec(TrainableSpec):
     """Adapts a recurrent baseline + optimiser to the TrainingEngine."""
 
-    #: Batched episodes are supported (used when ``batch_rooms`` > 1).
-    supports_batch = True
-
     def __init__(self, model, optimizer, alpha, epochs, bptt_window,
                  grad_clip):
         self.model = model
@@ -72,7 +68,6 @@ class _RecurrentTrainSpec(TrainableSpec):
         self.bptt_window = bptt_window
         self.grad_clip = grad_clip
         self.manifest_kind = f"{model.name.lower()}-train"
-        self._runner = None
 
     def resolve_alpha(self, problems):
         """Re-resolve the configured alpha against this problem set."""
@@ -115,36 +110,6 @@ class _RecurrentTrainSpec(TrainableSpec):
             problem, self.optimizer, self.resolved_alpha,
             self.bptt_window, self.grad_clip, guard=guard, epoch=epoch)
 
-    def train_episode_batch(self, problems, guard, epoch):
-        """Train a stacked batch of same-shape episodes (one graph/window)."""
-        episodes = [self.model._room_episode(problem)
-                    for problem in problems]
-        return self._batched_runner().run(episodes, guard, epoch)
-
-    def _batched_runner(self):
-        """Window runner, rebuilt when the resolved alpha changes."""
-        if self._runner is None or self._runner.alpha != self.resolved_alpha:
-            model = self.model
-
-            def step_fn(streams, hidden, previous):
-                return model.step_stacked(streams, hidden)
-
-            def initial_carries(num_rooms, num_users):
-                return (np.zeros((num_rooms, num_users, model.hidden_dim)),
-                        np.zeros((num_rooms, num_users)))
-
-            self._runner = BatchedBPTTRunner(
-                step_fn=step_fn,
-                stream_names=model.batch_streams,
-                alpha=self.resolved_alpha,
-                bptt_window=self.bptt_window,
-                parameters=model.parameters,
-                optimizer=self.optimizer,
-                grad_clip=self.grad_clip,
-                initial_carries=initial_carries,
-            )
-        return self._runner
-
     def manifest_config(self):
         """Configuration block recorded in the run manifest."""
         return {
@@ -164,23 +129,13 @@ class _RecurrentGNNRecommender(Module, Recommender):
 
     threshold = 0.5
 
-    #: Ordered streams :meth:`step_stacked` and the batched loss consume
-    #: (subclasses extend with their graph-operator streams).
-    batch_streams: tuple = ()
-
     def __init__(self):
         Module.__init__(self)
         self._hidden: Tensor | None = None
-        self._room_episodes: dict = {}
 
     # Subclasses implement one unrolled step.
     def step(self, features: Tensor, hidden: Tensor,
              adjacency: np.ndarray) -> tuple[Tensor, Tensor]:
-        raise NotImplementedError
-
-    def step_stacked(self, streams: dict, hidden: Tensor
-                     ) -> tuple[Tensor, Tensor]:
-        """One unrolled step over a stacked ``(B, N, ...)`` room batch."""
         raise NotImplementedError
 
     def initial_state(self, num_users: int) -> Tensor:
@@ -191,44 +146,6 @@ class _RecurrentGNNRecommender(Module, Recommender):
         # normalisation, hybrid-participation mask) is POSHGNN's
         # contribution — the baselines see the unprocessed scene.
         return Tensor(frame.raw_features()), frame.graph.adjacency_float()
-
-    # ------------------------------------------------------------------
-    # Batched-training episode precompute
-    # ------------------------------------------------------------------
-    def _graph_streams(self, adjacency: np.ndarray) -> dict:
-        """Per-step graph operators derived from the adjacency (numpy)."""
-        raise NotImplementedError
-
-    def room_episode(self, problem: AfterProblem) -> RoomEpisode:
-        """Precompute one room's per-step arrays for batched training.
-
-        The graph-operator derivations (transition matrices, row
-        normalisation) are 2-D and must run per room *before* stacking —
-        this hoists them out of the training loop entirely.
-        """
-        streams: dict = {name: [] for name in self.batch_streams}
-        for t in range(problem.horizon + 1):
-            frame = problem.frame_at(t)
-            adjacency = frame.graph.adjacency_float()
-            streams["features"].append(frame.raw_features())
-            streams["adjacency"].append(adjacency)
-            streams["preference"].append(
-                np.asarray(frame.preference_hat, dtype=np.float64))
-            streams["presence"].append(
-                np.asarray(frame.presence_hat, dtype=np.float64))
-            for name, value in self._graph_streams(adjacency).items():
-                streams[name].append(value)
-        return RoomEpisode(beta=problem.beta, horizon=problem.horizon,
-                           streams=streams)
-
-    def _room_episode(self, problem: AfterProblem) -> RoomEpisode:
-        # Cached on the model so restart attempts share the precompute.
-        cached = self._room_episodes.get(id(problem))
-        if cached is not None and cached[0] is problem:
-            return cached[1]
-        episode = self.room_episode(problem)
-        self._room_episodes[id(problem)] = (problem, episode)
-        return episode
 
     # ------------------------------------------------------------------
     # Recommender interface
@@ -264,9 +181,7 @@ class _RecurrentGNNRecommender(Module, Recommender):
             grad_clip: float = 5.0, restarts: int = 2,
             run_dir: str | None = None, resume_from: str | None = None,
             guard: GuardConfig | None = None, save_every: int = 1,
-            keep_last: int = 3, on_epoch_end=None,
-            batch_rooms: int | None = None,
-            **_ignored) -> dict:
+            keep_last: int = 3, on_epoch_end=None) -> dict:
         """Train with the POSHGNN loss (paper's fair-comparison setup).
 
         Uses the same multi-restart protocol as POSHGNN: each restart is
@@ -311,7 +226,6 @@ class _RecurrentGNNRecommender(Module, Recommender):
             engine = TrainingEngine(spec, epochs=epochs, store=store,
                                     guard=guard, save_every=save_every,
                                     keep_last=keep_last,
-                                    batch_rooms=batch_rooms,
                                     on_epoch_end=on_epoch_end)
             return engine.train(problems, resume_from=attempt_resume)
 
@@ -328,8 +242,7 @@ class _RecurrentGNNRecommender(Module, Recommender):
                             "alpha": alpha if alpha == "auto"
                             else float(alpha),
                             "epochs": epochs, "bptt_window": bptt_window,
-                            "grad_clip": grad_clip,
-                            "batch_rooms": batch_rooms}})
+                            "grad_clip": grad_clip}})
 
     def restore_fit(self, run_dir: str) -> bool:
         """Restore a completed :meth:`fit` from its run directory.
@@ -414,27 +327,6 @@ class DCRNNRecommender(_RecurrentGNNRecommender):
         probabilities = F.sigmoid(self.readout(hidden)).reshape(-1)
         return probabilities, hidden
 
-    batch_streams = ("features", "p_fwd", "p_bwd", "adjacency",
-                     "preference", "presence")
-
-    def _graph_streams(self, adjacency: np.ndarray) -> dict:
-        """Bidirectional random-walk transition matrices (per room)."""
-        return {
-            "p_fwd": DiffusionConv.transition_matrix(adjacency),
-            "p_bwd": DiffusionConv.transition_matrix(
-                np.asarray(adjacency).T),
-        }
-
-    def step_stacked(self, streams: dict, hidden: Tensor
-                     ) -> tuple[Tensor, Tensor]:
-        """Batched step: stacked diffusion conv -> GRU -> sigmoid head."""
-        encoded = F.relu(self.encoder(
-            streams["features"],
-            transitions=(streams["p_fwd"], streams["p_bwd"])))
-        hidden = self.cell(encoded, hidden)
-        probabilities = F.sigmoid(self.readout(hidden))
-        return probabilities.reshape(probabilities.shape[:-1]), hidden
-
 
 class TGCNRecommender(_RecurrentGNNRecommender):
     """Temporal GCN: graph-convolutional GRU over occlusion graphs."""
@@ -463,18 +355,3 @@ class TGCNRecommender(_RecurrentGNNRecommender):
         hidden = self.cell(features, hidden, row_normalise(adjacency))
         probabilities = F.sigmoid(self.readout(hidden)).reshape(-1)
         return probabilities, hidden
-
-    batch_streams = ("features", "propagation", "adjacency",
-                     "preference", "presence")
-
-    def _graph_streams(self, adjacency: np.ndarray) -> dict:
-        """Mean-degree-normalised propagation operator (per room)."""
-        return {"propagation": row_normalise(adjacency)}
-
-    def step_stacked(self, streams: dict, hidden: Tensor
-                     ) -> tuple[Tensor, Tensor]:
-        """Batched step: stacked graph-gated GRU -> sigmoid head."""
-        hidden = self.cell(streams["features"], hidden,
-                           streams["propagation"])
-        probabilities = F.sigmoid(self.readout(hidden))
-        return probabilities.reshape(probabilities.shape[:-1]), hidden

@@ -108,62 +108,6 @@ class POSHGNN(Module, Recommender):
             recommendation = Tensor(aggregated.mask) * prototype
         return recommendation, hidden, aggregated
 
-    def step_stacked(self, features: Tensor, delta: Tensor, mask: Tensor,
-                     propagation: Tensor, previous_hidden: Tensor,
-                     previous_recommendation: Tensor
-                     ) -> tuple[Tensor, Tensor]:
-        """One unrolled step over a stacked batch of rooms.
-
-        Same computation as :meth:`step` with a leading batch axis:
-        ``features`` is ``(B, N, 4)``, ``propagation`` ``(B, N, N)``,
-        ``mask``/``previous_recommendation`` ``(B, N)`` and
-        ``previous_hidden`` ``(B, N, hidden_dim)``.  MIA preprocessing is
-        numpy-only and happens ahead of time in :meth:`room_episode`, so
-        every input here is already a stacked tensor and the step builds
-        one graph for the whole batch.
-        """
-        prototype, hidden = self.pdr(features, propagation)
-        if self.use_lwp:
-            sigma = self.lwp(features, delta, previous_hidden,
-                             previous_recommendation, propagation)
-            recommendation = preservation_gate(
-                mask, sigma * self.max_preserve, prototype,
-                previous_recommendation)
-        else:
-            recommendation = mask * prototype
-        return recommendation, hidden
-
-    def room_episode(self, problem: AfterProblem):
-        """Precompute one room's per-step arrays for batched training.
-
-        Runs a fresh :class:`MIA` (same ablation flags as the model's)
-        over the problem's cached episode frames and returns a
-        :class:`~repro.training.batched.RoomEpisode` with the streams
-        :meth:`step_stacked` and the batched loss consume.
-        """
-        from ...training.batched import RoomEpisode
-
-        mia = MIA(use_normalised=self.use_mia, use_delta=self.use_mia)
-        streams: dict = {name: [] for name in
-                         ("features", "delta", "mask", "propagation",
-                          "adjacency", "preference", "presence")}
-        frames = problem.episode_frames()
-        for t in range(problem.horizon + 1):
-            frame = frames[t]
-            aggregated = mia.process(frame)
-            streams["features"].append(aggregated.features)
-            streams["delta"].append(aggregated.delta)
-            streams["mask"].append(
-                np.asarray(aggregated.mask, dtype=np.float64))
-            streams["propagation"].append(aggregated.propagation)
-            streams["adjacency"].append(aggregated.adjacency)
-            streams["preference"].append(
-                np.asarray(frame.preference_hat, dtype=np.float64))
-            streams["presence"].append(
-                np.asarray(frame.presence_hat, dtype=np.float64))
-        return RoomEpisode(beta=problem.beta, horizon=problem.horizon,
-                           streams=streams)
-
     # ------------------------------------------------------------------
     # Recommender interface
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ class PDR(Module):
 
     def forward(self, features, adjacency) -> tuple[Tensor, Tensor]:
         """Return ``(r_tilde_t, h_t)`` — probabilities (..., N) and hidden
-        states (..., N, hidden_dim); the leading batch axis is optional."""
+        states (..., N, hidden_dim)."""
         hidden = self.conv1(features, adjacency)
         scores = self.conv2(hidden, adjacency)
         prototype = scores.reshape(scores.shape[:-1])

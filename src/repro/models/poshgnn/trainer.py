@@ -37,7 +37,6 @@ from ...core.problem import AfterProblem
 from ...nn import Adam, clip_grad_norm
 from ...obs import DEFAULT_VALUE_BOUNDARIES, PERF
 from ...training import GuardConfig
-from ...training.batched import BatchedBPTTRunner
 from ...training.engine import TrainableSpec, TrainingEngine
 from ...training.guards import DivergenceGuard
 from .loss import POSHGNNLoss, resolve_alpha
@@ -68,18 +67,9 @@ class POSHGNNTrainer(TrainableSpec):
     on_epoch_end:
         Optional callback ``(trainer, epoch, history)`` after each
         completed epoch (progress reporting, external kill switches).
-    batch_rooms:
-        When > 1, same-shape training episodes are stacked and trained
-        through one ``(B, N, ...)`` autograd graph per BPTT window (one
-        optimiser step per batch per window) — see
-        :mod:`repro.training.batched`.  ``None`` (default) keeps the
-        serial per-episode loop bit-identical to earlier releases.
     """
 
     manifest_kind = "poshgnn-train"
-
-    #: Batched episodes are supported (used when ``batch_rooms`` > 1).
-    supports_batch = True
 
     def __init__(self, model: POSHGNN, lr: float = 1e-2, alpha="auto",
                  epochs: int = 20, bptt_window: int = 10,
@@ -87,7 +77,7 @@ class POSHGNNTrainer(TrainableSpec):
                  seed: int = 0, shuffle: bool = False,
                  checkpoint_dir=None, save_every: int = 1,
                  keep_last: int = 3, guard: GuardConfig | None = None,
-                 on_epoch_end=None, batch_rooms: int | None = None):
+                 on_epoch_end=None):
         if epochs < 1:
             raise ValueError("epochs must be positive")
         if bptt_window < 1:
@@ -106,10 +96,7 @@ class POSHGNNTrainer(TrainableSpec):
         self.keep_last = keep_last
         self.guard_config = guard or GuardConfig()
         self.on_epoch_end = on_epoch_end
-        self.batch_rooms = batch_rooms
         self.optimizer = Adam(model.parameters(), lr=lr)
-        self._runner: BatchedBPTTRunner | None = None
-        self._room_episodes: dict = {}
 
     # ------------------------------------------------------------------
     # TrainableSpec interface (consumed by TrainingEngine)
@@ -156,12 +143,6 @@ class POSHGNNTrainer(TrainableSpec):
         """One truncated-BPTT episode; returns its summed window loss."""
         return self._train_episode(problem, guard, epoch)
 
-    def train_episode_batch(self, problems: list, guard: DivergenceGuard,
-                            epoch: int) -> float:
-        """Train a stacked batch of same-shape episodes (one graph/window)."""
-        episodes = [self._room_episode(problem) for problem in problems]
-        return self._batched_runner().run(episodes, guard, epoch)
-
     def manifest_config(self) -> dict:
         """Configuration block recorded in the run manifest."""
         return {
@@ -173,7 +154,6 @@ class POSHGNNTrainer(TrainableSpec):
             "bptt_window": self.bptt_window,
             "grad_clip": self.grad_clip,
             "shuffle": self.shuffle,
-            "batch_rooms": self.batch_rooms,
             "save_every": self.save_every,
             "keep_last": self.keep_last,
             "guard": {
@@ -204,7 +184,6 @@ class POSHGNNTrainer(TrainableSpec):
             store=self.checkpoint_dir,
             save_every=self.save_every,
             keep_last=self.keep_last,
-            batch_rooms=self.batch_rooms,
             guard=self.guard_config,
             verbose=self.verbose,
             on_epoch_end=None if self.on_epoch_end is None
@@ -212,49 +191,6 @@ class POSHGNNTrainer(TrainableSpec):
             self.on_epoch_end(self, epoch, history),
         )
         return engine.train(problems, resume_from=resume_from)
-
-    # ------------------------------------------------------------------
-    # Batched path plumbing
-    # ------------------------------------------------------------------
-    def _room_episode(self, problem: AfterProblem):
-        """Cached per-room stacked-episode arrays (MIA runs once/room)."""
-        cached = self._room_episodes.get(id(problem))
-        if cached is not None and cached[0] is problem:
-            return cached[1]
-        episode = self.model.room_episode(problem)
-        self._room_episodes[id(problem)] = (problem, episode)
-        return episode
-
-    def _batched_runner(self) -> BatchedBPTTRunner:
-        """The window runner, rebuilt when the resolved alpha changes.
-
-        Alpha is the one constant a runner bakes in; each window reads the
-        model's parameters and ``max_preserve`` live.
-        """
-        if self._runner is None or self._runner.alpha != self.resolved_alpha:
-            model = self.model
-
-            def step_fn(streams, hidden, previous):
-                return model.step_stacked(
-                    streams["features"], streams["delta"], streams["mask"],
-                    streams["propagation"], hidden, previous)
-
-            def initial_carries(num_rooms, num_users):
-                return (np.zeros((num_rooms, num_users, model.hidden_dim)),
-                        np.zeros((num_rooms, num_users)))
-
-            self._runner = BatchedBPTTRunner(
-                step_fn=step_fn,
-                stream_names=("features", "delta", "mask", "propagation",
-                              "adjacency", "preference", "presence"),
-                alpha=self.resolved_alpha,
-                bptt_window=self.bptt_window,
-                parameters=model.parameters,
-                optimizer=self.optimizer,
-                grad_clip=self.grad_clip,
-                initial_carries=initial_carries,
-            )
-        return self._runner
 
     # ------------------------------------------------------------------
     def _train_episode(self, problem: AfterProblem,

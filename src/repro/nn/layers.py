@@ -3,9 +3,9 @@
 Layers here are deliberately small and explicit — the paper's networks are
 2-3 layer GNNs with hidden dimension 8, so clarity beats generality.
 
-Graph layers accept the adjacency operator as a plain numpy array or as a
-(possibly batched ``(B, N, N)``) tensor; the adjacency is environment data,
-not a learned quantity, so it never requires gradients.
+Graph layers accept the adjacency operator as a plain numpy array or a
+constant tensor; the adjacency is environment data, not a learned
+quantity, so it never requires gradients.
 """
 
 from __future__ import annotations
@@ -155,11 +155,7 @@ class GraphConv(Module):
         self.activation = activation
 
     def forward(self, x, adjacency) -> Tensor:
-        """Eq. 1: self transform plus aggregated-neighbour transform.
-
-        ``adjacency`` may be a plain array (the serial path) or a constant
-        tensor — e.g. a stacked ``(B, N, N)`` batch on the batched path.
-        """
+        """Eq. 1: self transform plus aggregated-neighbour transform."""
         x = as_tensor(x)
         if not isinstance(adjacency, Tensor):
             adjacency = Tensor(np.asarray(adjacency))
@@ -203,20 +199,11 @@ class DiffusionConv(Module):
         inv = np.where(degree > 0, 1.0 / np.maximum(degree, 1e-12), 0.0)
         return np.asarray(adjacency) * inv[:, None]
 
-    def forward(self, x, adjacency=None, transitions=None) -> Tensor:
-        """K-hop bidirectional diffusion convolution.
-
-        Transition matrices are derived from ``adjacency`` (the 2-D serial
-        path) unless ``transitions=(p_fwd, p_bwd)`` supplies them directly —
-        used by the batched path, where row normalisation must happen
-        per-room before stacking to ``(B, N, N)``.
-        """
+    def forward(self, x, adjacency) -> Tensor:
+        """K-hop bidirectional diffusion convolution over ``adjacency``."""
         x = as_tensor(x)
-        if transitions is None:
-            p_fwd = Tensor(self.transition_matrix(adjacency))
-            p_bwd = Tensor(self.transition_matrix(np.asarray(adjacency).T))
-        else:
-            p_fwd, p_bwd = (as_tensor(p) for p in transitions)
+        p_fwd = Tensor(self.transition_matrix(adjacency))
+        p_bwd = Tensor(self.transition_matrix(np.asarray(adjacency).T))
         out = x.matmul(self.weight_self)
         fwd, bwd = x, x
         for k in range(self.k_hops):

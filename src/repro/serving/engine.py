@@ -87,10 +87,6 @@ class PendingStep:
     change: RosterChange | None = None
 
 
-#: Backwards-compatible alias for the pre-migration private name.
-_Pending = PendingStep
-
-
 def floor_frame(session_id: str, positions, num_users: int) -> np.ndarray:
     """One submitted frame as ``(num_users, 2)`` floor coordinates.
 

@@ -516,10 +516,11 @@ class RoomSession:
     def suspend(self) -> SessionSnapshot:
         """Freeze the session into a snapshot (deep-copied state).
 
-        The problem is shared by reference (it is never mutated); the
-        recommender and every carried array are deep-copied, so the
-        original session may keep running or be discarded while the
-        snapshot stays bit-exact.
+        The problem is shared by reference (it is never mutated), also
+        by the recommender's copy, so a pickled snapshot carries it
+        once; the recommender and every carried array are deep-copied,
+        so the original session may keep running or be discarded while
+        the snapshot stays bit-exact.
         """
         state = copy.deepcopy({
             "recommender": self.recommender,
@@ -533,14 +534,19 @@ class RoomSession:
             "shed_count": self.shed_count,
             "degraded_count": self.degraded_count,
             "churn_count": self.churn_count,
-        })
+        }, {id(self.problem): self.problem})
         return SessionSnapshot(session_id=self.session_id,
                                problem=self.problem, state=state)
 
     @classmethod
     def resume(cls, snapshot: SessionSnapshot) -> "RoomSession":
-        """Reconstruct a live session from a :meth:`suspend` snapshot."""
-        state = copy.deepcopy(snapshot.state)
+        """Reconstruct a live session from a :meth:`suspend` snapshot.
+
+        The snapshot's problem stays shared: the resumed recommender
+        points at ``snapshot.problem``, not at a copy of it.
+        """
+        state = copy.deepcopy(snapshot.state,
+                              {id(snapshot.problem): snapshot.problem})
         session = cls(snapshot.problem, state["recommender"],
                       session_id=snapshot.session_id,
                       fallback=state["fallback"])

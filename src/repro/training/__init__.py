@@ -16,11 +16,8 @@ trainers (see docs/TRAINING.md):
   :func:`load_fit` for the shared multi-restart fit protocol.
 * :class:`CheckpointStore` backends — pluggable checkpoint storage
   (local directory, in-memory, sharded fan-out).
-* :class:`BatchedBPTTRunner` / :class:`RoomEpisode` — the stacked
-  multi-room truncated-BPTT path (see docs/TRAINING.md).
 """
 
-from .batched import BatchedBPTTRunner, RoomEpisode, batched_step_loss
 from .checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointManager,
@@ -49,9 +46,6 @@ from .storage import (
 )
 
 __all__ = [
-    "BatchedBPTTRunner",
-    "RoomEpisode",
-    "batched_step_loss",
     "CHECKPOINT_VERSION",
     "CheckpointManager",
     "TrainerCheckpoint",

@@ -84,27 +84,6 @@ class TrainableSpec:
         """
         raise NotImplementedError
 
-    # -- batched episodes (optional) ------------------------------------
-    #: Whether :meth:`train_episode_batch` is implemented; specs that
-    #: support it train chunks of same-shape rooms through one stacked
-    #: autograd graph when the engine's ``batch_rooms`` is set.
-    supports_batch = False
-
-    def batch_key(self, problem):
-        """Grouping key for batching; only same-key episodes are stacked."""
-        return (getattr(problem, "num_users", None),
-                getattr(problem, "horizon", None))
-
-    def train_episode_batch(self, problems: list, guard: DivergenceGuard,
-                            epoch: int) -> float:
-        """Train a batch of same-key episodes through one stacked graph.
-
-        Returns the batch's summed window losses (the sum over rooms of
-        what :meth:`train_episode` would report, up to float reordering),
-        with the same guard routing contract.
-        """
-        raise NotImplementedError
-
     # -- state capture (rollback + checkpointing) ----------------------
     def capture_state(self) -> dict:
         """Snapshot ``{"model": ..., "optim": ...}`` state dicts."""
@@ -156,14 +135,6 @@ class TrainingEngine:
         plugs in other layouts (in-memory, sharded).
     save_every / keep_last:
         Checkpoint cadence in epochs and epoch-archive retention.
-    batch_rooms:
-        When > 1 and the spec sets ``supports_batch``, episodes sharing a
-        ``spec.batch_key`` are trained in stacked chunks of up to this
-        many rooms per autograd graph (one optimiser step per chunk per
-        BPTT window).  ``None`` (default) keeps the serial per-episode
-        loop.  Shuffling, RNG evolution and checkpoint layout are
-        unchanged, so a batched run resumes bit-identically on the
-        batched path.
     guard:
         Divergence/early-stop policy (:class:`GuardConfig`).
     on_epoch_end:
@@ -175,13 +146,10 @@ class TrainingEngine:
                  shuffle: bool = False, rng=None,
                  store: CheckpointStore | str | os.PathLike | None = None,
                  save_every: int = 1, keep_last: int = 3,
-                 batch_rooms: int | None = None,
                  guard: GuardConfig | None = None, verbose: bool = False,
                  on_epoch_end=None):
         if epochs < 1:
             raise ValueError("epochs must be positive")
-        if batch_rooms is not None and batch_rooms < 1:
-            raise ValueError("batch_rooms must be positive")
         self.spec = spec
         self.epochs = epochs
         self.shuffle = shuffle
@@ -189,7 +157,6 @@ class TrainingEngine:
         self.store = store
         self.save_every = save_every
         self.keep_last = keep_last
-        self.batch_rooms = batch_rooms
         self.guard_config = guard or GuardConfig()
         self.verbose = verbose
         self.on_epoch_end = on_epoch_end
@@ -233,38 +200,6 @@ class TrainingEngine:
             return CheckpointManager(resume_from).load_latest()
         path = CheckpointManager.resolve(resume_from)
         return TrainerCheckpoint.load(path), path
-
-    # ------------------------------------------------------------------
-    # Batched episode grouping
-    # ------------------------------------------------------------------
-    def _use_batch(self) -> bool:
-        """Whether this run trains through the stacked batch path."""
-        return (self.batch_rooms is not None and self.batch_rooms > 1
-                and getattr(self.spec, "supports_batch", False))
-
-    def _batch_chunks(self, problems: list, order: list) -> list:
-        """Stable-partition ``order`` by batch key into bounded chunks.
-
-        The (possibly shuffled) episode order is preserved within each
-        key group and groups appear in first-occurrence order, so the
-        set of optimiser updates is a deterministic function of the
-        epoch's shuffle draw — which keeps resumed runs on the batched
-        path bit-identical.
-        """
-        groups: dict = {}
-        keys_in_order = []
-        for index in order:
-            key = self.spec.batch_key(problems[index])
-            if key not in groups:
-                groups[key] = []
-                keys_in_order.append(key)
-            groups[key].append(index)
-        chunks = []
-        for key in keys_in_order:
-            members = groups[key]
-            for start in range(0, len(members), self.batch_rooms):
-                chunks.append(members[start:start + self.batch_rooms])
-        return chunks
 
     # ------------------------------------------------------------------
     # The training loop
@@ -334,15 +269,9 @@ class TrainingEngine:
                 try:
                     epoch_loss = 0.0
                     with PERF.scope("train.epoch", {"epoch": epoch}):
-                        if self._use_batch():
-                            for chunk in self._batch_chunks(problems, order):
-                                epoch_loss += spec.train_episode_batch(
-                                    [problems[index] for index in chunk],
-                                    guard, epoch)
-                        else:
-                            for index in order:
-                                epoch_loss += spec.train_episode(
-                                    problems[index], guard, epoch)
+                        for index in order:
+                            epoch_loss += spec.train_episode(
+                                problems[index], guard, epoch)
                 except NonFiniteSignal as signal:
                     # Roll back before deciding whether to retry, so even
                     # a TrainingDiverged escape leaves the model at its
