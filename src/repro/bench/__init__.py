@@ -21,8 +21,7 @@ from .experiments import (
     run_user_study,
     run_vr_proportion,
 )
-from .methods import LEARNED_METHODS, ablation_methods, study_methods, \
-    table_methods
+from .methods import ablation_methods, study_methods, table_methods
 from .tables import METRIC_ROWS, ResultTable, format_number
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "table_methods",
     "ablation_methods",
     "study_methods",
-    "LEARNED_METHODS",
     "room_config_for",
     "prepare_room",
     "run_dataset_comparison",

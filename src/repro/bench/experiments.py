@@ -88,14 +88,17 @@ def _fit_and_evaluate(room, methods: dict, train_targets, eval_targets,
                       config: BenchConfig, alpha0: float) -> dict:
     """Train each method and collect its AggregateResult.
 
-    With ``config.run_dir`` set (``REPRO_RUN_DIR``), checkpoint-capable
-    methods train under ``<run_dir>/<method>/`` and every fit leaves a
+    Training keywords (epochs, alpha, run directory) go only to the
+    gradient-trained methods, the ones with ``restore_fit``; the others
+    fit on the problems alone.  With ``config.run_dir`` set
+    (``REPRO_RUN_DIR``), those methods train under
+    ``<run_dir>/<method>/`` and every fit leaves a
     ``<run_dir>/bench_<method>.json`` manifest (history, wall-clock,
     PERF deltas, ``extra.complete``), making long table regenerations
     resumable: a re-run skips methods whose manifest is complete and
-    whose fitted model restores from its checkpoints, and
-    resume-capable methods continue a half-finished fit from their
-    per-attempt checkpoints instead of starting over.
+    whose fitted model restores from its checkpoints, and continues a
+    half-finished fit from its per-attempt checkpoints instead of
+    starting over.
     """
     train_problems = [AfterProblem(room, t, beta=config.beta,
                                    max_render=config.max_render)
@@ -103,27 +106,26 @@ def _fit_and_evaluate(room, methods: dict, train_targets, eval_targets,
     alpha = resolve_alpha(train_problems, "auto", alpha0=alpha0)
     results = {}
     for name, method in methods.items():
-        fit_kwargs = {"epochs": config.train_epochs, "alpha": alpha}
+        restorable = getattr(method, "restore_fit", None)
+        fit_kwargs = {} if restorable is None \
+            else {"epochs": config.train_epochs, "alpha": alpha}
         slug = method_slug(name)
         method_run_dir = None
         manifest_path = None
         if config.run_dir:
             manifest_path = os.path.join(config.run_dir,
                                          f"bench_{slug}.json")
-            if getattr(method, "supports_run_dir", False):
+            if restorable is not None:
                 method_run_dir = os.path.join(config.run_dir, slug)
                 fit_kwargs["run_dir"] = method_run_dir
 
-        restorable = getattr(method, "restore_fit", None)
-        if method_run_dir is not None and restorable is not None \
+        if method_run_dir is not None \
                 and _bench_fit_complete(manifest_path) \
                 and restorable(method_run_dir):
             print(f"bench: skipping fit of {name} — complete manifest "
                   f"and checkpoints under {method_run_dir}")
         else:
-            if method_run_dir is not None \
-                    and getattr(method, "supports_resume_from", False) \
-                    and os.path.isdir(method_run_dir):
+            if method_run_dir is not None and os.path.isdir(method_run_dir):
                 fit_kwargs["resume_from"] = method_run_dir
             perf_mark = PERF.snapshot()
             started = time.perf_counter()

@@ -16,10 +16,7 @@ from ..models import (
 from .config import BenchConfig
 
 __all__ = ["table_methods", "ablation_methods", "study_methods",
-           "method_slug", "LEARNED_METHODS"]
-
-#: Methods whose ``fit`` performs gradient training on episodes.
-LEARNED_METHODS = ("POSHGNN", "DCRNN", "TGCN")
+           "method_slug"]
 
 
 def method_slug(name: str) -> str:

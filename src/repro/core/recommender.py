@@ -82,10 +82,12 @@ class Recommender:
         """Return the boolean render mask for this step."""
         raise NotImplementedError
 
-    def fit(self, problems: list, **kwargs) -> dict:
+    def fit(self, problems: list) -> dict:
         """Train on a list of problems; returns a history dict.
 
-        Non-learned recommenders are no-ops.
+        Non-learned recommenders are no-ops.  Gradient-trained models
+        also take training keywords and define ``restore_fit``; the
+        drivers pass keywords only to those.
         """
         return {}
 

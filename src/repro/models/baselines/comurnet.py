@@ -142,7 +142,7 @@ class COMURNetRecommender(Recommender):
     # ------------------------------------------------------------------
     # Training (REINFORCE with critic baseline)
     # ------------------------------------------------------------------
-    def fit(self, problems: list, **_ignored) -> dict:
+    def fit(self, problems: list) -> dict:
         """Policy-gradient training over a few episodes per problem."""
         if not problems:
             raise ValueError("no problems given")

@@ -62,7 +62,7 @@ class GraFrankRecommender(Recommender):
     # ------------------------------------------------------------------
     # Training (static, once per room)
     # ------------------------------------------------------------------
-    def fit(self, problems: list, **_ignored) -> dict:
+    def fit(self, problems: list) -> dict:
         if not problems:
             raise ValueError("no problems given")
         return self._fit_room(problems[0].room)

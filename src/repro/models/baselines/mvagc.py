@@ -50,7 +50,7 @@ class MvAGCRecommender(Recommender):
     # ------------------------------------------------------------------
     # Clustering (static, once per room)
     # ------------------------------------------------------------------
-    def fit(self, problems: list, **_ignored) -> dict:
+    def fit(self, problems: list) -> dict:
         """Cluster the room of the first problem (all share the room)."""
         if not problems:
             raise ValueError("no problems given")

@@ -9,9 +9,11 @@ pruning mask, structural deltas, and the LWP preservation gate.
   walks on the occlusion graph) feeding a GRU.
 * **T-GCN** [73]: a GRU whose gates are graph convolutions.
 
-Training runs on the shared :class:`repro.training.engine.TrainingEngine`
-(the same fault-tolerant loop POSHGNN uses): ``fit`` gets divergence
-guards, per-attempt checkpoints + ``events.jsonl`` + run manifests under
+Training is POSHGNN's: ``fit`` builds a
+:class:`~repro.models.poshgnn.trainer.POSHGNNTrainer` per restart
+attempt, which unrolls the model through ``train_start``/``train_step``
+on the shared fault-tolerant loop.  So ``fit`` gets divergence guards,
+per-attempt checkpoints + ``events.jsonl`` + run manifests under
 ``run_dir``, and ``resume_from=`` to continue a killed fit bit-identically
 — completed restart attempts fast-forward from their final checkpoint
 without re-training.
@@ -19,109 +21,29 @@ without re-training.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ...core.problem import AfterProblem
 from ...core.recommender import Recommender, top_k_mask
 from ...core.scene import Frame
 from ...nn import (
-    Adam,
     DiffusionConv,
     GraphGRUCell,
     GRUCell,
     Linear,
     Module,
     Tensor,
-    clip_grad_norm,
     no_grad,
 )
 from ...nn import functional as F
-from ...obs import DEFAULT_VALUE_BOUNDARIES, PERF
-from ...training import CheckpointManager, GuardConfig
-from ...training.engine import (
-    RestartAttempt,
-    TrainableSpec,
-    TrainingEngine,
-    load_fit,
-    run_restarts,
-)
-from ..poshgnn.loss import POSHGNNLoss, resolve_alpha
+from ...training import GuardConfig
+from ...training.engine import RestartAttempt, load_fit, run_restarts
 from ..poshgnn.mia import row_normalise
+from ..poshgnn.trainer import POSHGNNTrainer
 
 __all__ = ["DCRNNRecommender", "TGCNRecommender"]
 
 FEATURE_DIM = 4
-
-
-class _RecurrentTrainSpec(TrainableSpec):
-    """Adapts a recurrent baseline + optimiser to the TrainingEngine."""
-
-    def __init__(self, model, optimizer, alpha, epochs, bptt_window,
-                 grad_clip):
-        self.model = model
-        self.optimizer = optimizer
-        self.configured_alpha = alpha
-        self.resolved_alpha = None
-        self.epochs = epochs
-        self.bptt_window = bptt_window
-        self.grad_clip = grad_clip
-        self.manifest_kind = f"{model.name.lower()}-train"
-
-    def resolve_alpha(self, problems):
-        """Re-resolve the configured alpha against this problem set."""
-        return resolve_alpha(problems, self.configured_alpha)
-
-    def set_resolved_alpha(self, value):
-        """Record the alpha this run trains with."""
-        self.resolved_alpha = value
-
-    def capture_state(self):
-        """Snapshot model + optimiser state."""
-        return {"model": self.model.state_dict(),
-                "optim": self.optimizer.state_dict()}
-
-    def restore_state(self, snapshot):
-        """Restore a :meth:`capture_state` snapshot."""
-        self.model.load_state_dict(snapshot["model"])
-        self.optimizer.load_state_dict(snapshot["optim"])
-
-    def model_state(self):
-        """The model's state dict alone."""
-        return self.model.state_dict()
-
-    def load_model_state(self, state):
-        """Load a best-epoch model snapshot."""
-        self.model.load_state_dict(state)
-
-    @property
-    def lr(self):
-        """Live Adam learning rate."""
-        return self.optimizer.lr
-
-    @lr.setter
-    def lr(self, value):
-        self.optimizer.lr = value
-
-    def train_episode(self, problem, guard, epoch):
-        """One truncated-BPTT episode with guard-checked windows."""
-        return self.model._train_episode(
-            problem, self.optimizer, self.resolved_alpha,
-            self.bptt_window, self.grad_clip, guard=guard, epoch=epoch)
-
-    def manifest_config(self):
-        """Configuration block recorded in the run manifest."""
-        return {
-            "lr": self.optimizer.lr,
-            "alpha": self.configured_alpha
-            if self.configured_alpha == "auto"
-            else float(self.configured_alpha),
-            "resolved_alpha": self.resolved_alpha,
-            "epochs": self.epochs,
-            "bptt_window": self.bptt_window,
-            "grad_clip": self.grad_clip,
-        }
 
 
 class _RecurrentGNNRecommender(Module, Recommender):
@@ -147,6 +69,18 @@ class _RecurrentGNNRecommender(Module, Recommender):
         # contribution — the baselines see the unprocessed scene.
         return Tensor(frame.raw_features()), frame.graph.adjacency_float()
 
+    def train_start(self, problem: AfterProblem) -> tuple[Tensor, Tensor]:
+        """Zero hidden state and zero previous probabilities."""
+        return (self.initial_state(problem.num_users),
+                Tensor(np.zeros(problem.num_users)))
+
+    def train_step(self, frame: Frame, hidden: Tensor, previous: Tensor
+                   ) -> tuple[Tensor, Tensor, np.ndarray]:
+        """One training step on the raw frame: ``(p_t, h_t, A_t)``."""
+        features, adjacency = self._frame_inputs(frame)
+        probabilities, hidden = self.step(features, hidden, adjacency)
+        return probabilities, hidden, adjacency
+
     # ------------------------------------------------------------------
     # Recommender interface
     # ------------------------------------------------------------------
@@ -168,14 +102,6 @@ class _RecurrentGNNRecommender(Module, Recommender):
         return top_k_mask(np.where(eligible, scores, -np.inf),
                           self.problem.max_render, eligible)
 
-    #: ``fit`` accepts ``run_dir`` (checkpoints + manifest per attempt);
-    #: the bench drivers key off this to pass one through.
-    supports_run_dir = True
-
-    #: ``fit`` accepts ``resume_from=<previous run_dir>`` to continue a
-    #: killed multi-restart fit from its per-attempt checkpoints.
-    supports_resume_from = True
-
     def fit(self, problems: list, lr: float = 1e-2, alpha="auto",
             epochs: int = 20, bptt_window: int = 10,
             grad_clip: float = 5.0, restarts: int = 2,
@@ -184,22 +110,17 @@ class _RecurrentGNNRecommender(Module, Recommender):
             keep_last: int = 3, on_epoch_end=None) -> dict:
         """Train with the POSHGNN loss (paper's fair-comparison setup).
 
-        Uses the same multi-restart protocol as POSHGNN: each restart is
-        scored by its *training-episode* AFTER utility and the best model
-        kept (recurrent models are initialisation-sensitive).  Runs on
-        the shared :class:`~repro.training.engine.TrainingEngine`, so a
-        ``run_dir`` yields per-attempt checkpoints, ``events.jsonl`` and
-        run manifests plus a ``fit_manifest.json``, and
-        ``resume_from=<previous run_dir>`` continues a killed fit:
-        completed attempts fast-forward from their final checkpoint,
-        the interrupted one resumes mid-run bit-identically.
+        Uses the same multi-restart protocol and the same
+        :class:`~repro.models.poshgnn.trainer.POSHGNNTrainer` as POSHGNN:
+        each restart is scored by its *training-episode* AFTER utility
+        and the best model kept (recurrent models are
+        initialisation-sensitive).  A ``run_dir`` yields per-attempt
+        checkpoints, ``events.jsonl`` and run manifests plus a
+        ``fit_manifest.json``, and ``resume_from=<previous run_dir>``
+        continues a killed fit: completed attempts fast-forward from
+        their final checkpoint, the interrupted one resumes mid-run
+        bit-identically.
         """
-        from ...core.evaluation import evaluate_episode
-
-        if not problems:
-            raise ValueError("no training problems")
-        if restarts < 1:
-            raise ValueError("restarts must be positive")
         attempts = [RestartAttempt(label=f"attempt{index}",
                                    seed=self.seed + 1000 * index)
                     for index in range(restarts)]
@@ -208,34 +129,18 @@ class _RecurrentGNNRecommender(Module, Recommender):
             if attempt.seed != self.seed:
                 self.reinitialize(attempt.seed)
 
-        def train(attempt):
-            optimizer = Adam(self.parameters(), lr=lr)
-            spec = _RecurrentTrainSpec(self, optimizer, alpha, epochs,
-                                       bptt_window, grad_clip)
-            store = None if run_dir is None \
-                else os.path.join(run_dir, attempt.label)
-            attempt_resume = None
-            if resume_from is not None:
-                candidate = os.path.join(os.fspath(resume_from),
-                                         attempt.label)
-                if os.path.isdir(candidate):
-                    try:
-                        attempt_resume = CheckpointManager.resolve(candidate)
-                    except FileNotFoundError:
-                        attempt_resume = None
-            engine = TrainingEngine(spec, epochs=epochs, store=store,
-                                    guard=guard, save_every=save_every,
-                                    keep_last=keep_last,
-                                    on_epoch_end=on_epoch_end)
-            return engine.train(problems, resume_from=attempt_resume)
-
-        def score(attempt):
-            return np.mean([evaluate_episode(problem, self).after_utility
-                            for problem in problems])
+        def make_trainer(checkpoint_dir):
+            return POSHGNNTrainer(
+                self, lr=lr, alpha=alpha, epochs=epochs,
+                bptt_window=bptt_window, grad_clip=grad_clip,
+                checkpoint_dir=checkpoint_dir, save_every=save_every,
+                keep_last=keep_last, guard=guard, on_epoch_end=on_epoch_end)
 
         return run_restarts(
-            self, attempts, prepare=prepare, train=train, score=score,
-            run_dir=run_dir, manifest_kind=f"{self.name.lower()}-fit",
+            self, problems, attempts, prepare=prepare,
+            make_trainer=make_trainer, run_dir=run_dir,
+            resume_from=resume_from,
+            manifest_kind=f"{self.name.lower()}-fit",
             manifest_config={
                 "restarts": restarts,
                 "trainer": {"lr": lr,
@@ -252,47 +157,6 @@ class _RecurrentGNNRecommender(Module, Recommender):
         skipping.
         """
         return load_fit(self, run_dir) is not None
-
-    def _train_episode(self, problem: AfterProblem, optimizer: Adam,
-                       alpha: float, bptt_window: int,
-                       grad_clip: float, guard=None, epoch: int = 0) -> float:
-        loss_fn = POSHGNNLoss(beta=problem.beta, alpha=alpha)
-        hidden = self.initial_state(problem.num_users)
-        previous = Tensor(np.zeros(problem.num_users))
-        total_loss = 0.0
-        window_loss = None
-        steps = 0
-        for t in range(problem.horizon + 1):
-            frame = problem.frame_at(t)
-            features, adjacency = self._frame_inputs(frame)
-            probabilities, hidden = self.step(features, hidden, adjacency)
-            step_loss = loss_fn.step_loss(
-                probabilities, previous, frame.preference_hat,
-                frame.presence_hat, adjacency)
-            window_loss = step_loss if window_loss is None \
-                else window_loss + step_loss
-            previous = probabilities
-            steps += 1
-            if steps >= bptt_window or t == problem.horizon:
-                window_value = window_loss.item()
-                if guard is not None:
-                    guard.check_loss(window_value, epoch)
-                optimizer.zero_grad()
-                window_loss.backward()
-                norm = clip_grad_norm(self.parameters(), grad_clip)
-                if guard is not None:
-                    guard.check_grad_norm(norm, epoch)
-                PERF.observe("train.grad_norm", norm,
-                             boundaries=DEFAULT_VALUE_BOUNDARIES)
-                PERF.observe("train.window_loss", window_value,
-                             boundaries=DEFAULT_VALUE_BOUNDARIES)
-                optimizer.step()
-                total_loss += window_value
-                window_loss = None
-                steps = 0
-                hidden = hidden.detach()
-                previous = previous.detach()
-        return total_loss
 
 
 class DCRNNRecommender(_RecurrentGNNRecommender):

@@ -108,6 +108,18 @@ class POSHGNN(Module, Recommender):
             recommendation = Tensor(aggregated.mask) * prototype
         return recommendation, hidden, aggregated
 
+    def train_start(self, problem: AfterProblem) -> tuple[Tensor, Tensor]:
+        """Reset MIA and return the zero carries of a training episode."""
+        self.mia.reset()
+        return self.initial_state(problem.num_users)
+
+    def train_step(self, frame: Frame, hidden: Tensor, previous: Tensor
+                   ) -> tuple[Tensor, Tensor, "np.ndarray"]:
+        """One training step: ``(r_t, h_t, A_t)`` for the POSHGNN loss."""
+        recommendation, hidden, aggregated = self.step(frame, hidden,
+                                                       previous)
+        return recommendation, hidden, aggregated.adjacency
+
     # ------------------------------------------------------------------
     # Recommender interface
     # ------------------------------------------------------------------
@@ -194,14 +206,6 @@ class POSHGNN(Module, Recommender):
     #: Preservation-cap candidates explored during fitting (with LWP).
     preserve_grid = (1.0, 0.85)
 
-    #: ``fit`` accepts ``run_dir`` (checkpoints + manifest per attempt);
-    #: the bench drivers key off this to pass one through.
-    supports_run_dir = True
-
-    #: ``fit`` accepts ``resume_from=<previous run_dir>`` to continue a
-    #: killed multi-restart fit from its per-attempt checkpoints.
-    supports_resume_from = True
-
     def fit(self, problems: list, restarts: int = 2,
             run_dir: str | None = None, resume_from: str | None = None,
             **kwargs) -> dict:
@@ -218,17 +222,14 @@ class POSHGNN(Module, Recommender):
         ``resume_from=<previous run_dir>`` continues a killed fit:
         completed attempts fast-forward from their final checkpoint, the
         interrupted one resumes mid-run bit-identically.  Remaining
-        kwargs go to :class:`~repro.models.poshgnn.trainer.POSHGNNTrainer`.
+        kwargs go to :class:`~repro.models.poshgnn.trainer.POSHGNNTrainer`
+        (``checkpoint_dir`` is ``run_dir``'s per-attempt directory and
+        cannot be passed); a rejected keyword raises before the model is
+        reinitialised.
         """
-        import os
-
-        from ...core.evaluation import evaluate_episode
-        from ...training import CheckpointManager
         from ...training.engine import RestartAttempt, run_restarts
         from .trainer import POSHGNNTrainer
 
-        if restarts < 1:
-            raise ValueError("restarts must be positive")
         caps = self.preserve_grid if self.use_lwp else (1.0,)
         attempts = [
             RestartAttempt(
@@ -242,33 +243,17 @@ class POSHGNN(Module, Recommender):
             self.reinitialize(attempt.seed)
             self.max_preserve = attempt.params["cap"]
 
-        def train(attempt):
-            trainer_kwargs = dict(kwargs)
-            if run_dir is not None:
-                trainer_kwargs["checkpoint_dir"] = os.path.join(
-                    run_dir, attempt.label)
-            attempt_resume = None
-            if resume_from is not None:
-                candidate = os.path.join(os.fspath(resume_from),
-                                         attempt.label)
-                if os.path.isdir(candidate):
-                    try:
-                        attempt_resume = CheckpointManager.resolve(candidate)
-                    except FileNotFoundError:
-                        attempt_resume = None
-            return POSHGNNTrainer(self, **trainer_kwargs).train(
-                problems, resume_from=attempt_resume)
-
-        def score(attempt):
-            return np.mean([evaluate_episode(problem, self).after_utility
-                            for problem in problems])
+        def make_trainer(checkpoint_dir):
+            return POSHGNNTrainer(self, checkpoint_dir=checkpoint_dir,
+                                  **kwargs)
 
         def apply_params(params):
             self.max_preserve = params["cap"]
 
         return run_restarts(
-            self, attempts, prepare=prepare, train=train, score=score,
-            apply_params=apply_params, run_dir=run_dir,
+            self, problems, attempts, prepare=prepare,
+            make_trainer=make_trainer, apply_params=apply_params,
+            run_dir=run_dir, resume_from=resume_from,
             manifest_kind="poshgnn-fit",
             manifest_config={
                 "restarts": restarts, "caps": list(caps),

@@ -164,7 +164,8 @@ class UserStudy:
 
         ``methods`` maps display names to recommenders.  Learned methods
         are trained on a few participants' episodes first (with the
-        default beta) when ``fit`` is True.
+        default beta) when ``fit`` is True; ``fit_kwargs`` go only to
+        the gradient-trained methods (those with ``restore_fit``).
         """
         fit_kwargs = fit_kwargs or {}
         if fit:
@@ -172,7 +173,10 @@ class UserStudy:
                 AfterProblem(self.room, p.id, max_render=self.max_render)
                 for p in self.participants[:fit_targets]]
             for method in methods.values():
-                method.fit(train_problems, **fit_kwargs)
+                if hasattr(method, "restore_fit"):
+                    method.fit(train_problems, **fit_kwargs)
+                else:
+                    method.fit(train_problems)
 
         raw: dict[str, dict[str, np.ndarray]] = {}
         for name, method in methods.items():

@@ -13,12 +13,10 @@ holding a JSON document (version, cursors, history, RNG state).  Writes
 go through :func:`repro.nn.serialization.atomic_savez`, so a crash
 mid-save never corrupts the previous checkpoint.
 
-:class:`CheckpointManager` layers cadence and retention on top of a
-pluggable :class:`~repro.training.storage.CheckpointStore` backend:
-save every ``save_every`` epochs, keep the last ``keep_last`` epoch
-archives plus ``best.npz``.  A plain directory path is shorthand for
-:class:`~repro.training.storage.LocalDirectoryStore`, the historical
-(and byte-identical) layout.
+:class:`CheckpointManager` layers cadence and retention on one flat run
+directory: save every ``save_every`` epochs, keep the last
+``keep_last`` epoch archives plus ``best.npz``, with the run's
+``manifest.json`` beside them.
 """
 
 from __future__ import annotations
@@ -37,38 +35,12 @@ from ..nn.serialization import (
     unflatten_state,
 )
 from .manifest import RunManifest
-from .storage import (
-    CheckpointStore,
-    LocalDirectoryStore,
-    ShardedDirectoryStore,
-)
 
-__all__ = ["CHECKPOINT_VERSION", "TrainerCheckpoint", "CheckpointManager",
-           "open_directory_store"]
+__all__ = ["CHECKPOINT_VERSION", "TrainerCheckpoint", "CheckpointManager"]
 
 CHECKPOINT_VERSION = 1
 
 _EPOCH_FILE = re.compile(r"^ckpt-(\d+)\.npz$")
-
-
-def open_directory_store(directory: str | os.PathLike) -> CheckpointStore:
-    """Open an existing run directory with the right store backend.
-
-    A directory holding a ``.store.json`` marker (or ``shard-*/``
-    subdirectories) was written by a
-    :class:`~repro.training.storage.ShardedDirectoryStore` — the marker
-    records its fanout; anything else is the flat local layout.  Used to
-    resume runs without knowing how they were stored.
-    """
-    directory = os.fspath(directory)
-    if os.path.isdir(directory) and (
-            os.path.exists(os.path.join(directory,
-                                        ShardedDirectoryStore.MARKER))
-            or any(entry.startswith("shard-")
-                   and os.path.isdir(os.path.join(directory, entry))
-                   for entry in os.listdir(directory))):
-        return ShardedDirectoryStore(directory)
-    return LocalDirectoryStore(directory)
 
 
 @dataclass
@@ -115,9 +87,11 @@ class TrainerCheckpoint:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_arrays(cls, arrays: dict,
-                    source: str = "<arrays>") -> "TrainerCheckpoint":
-        """Rebuild a checkpoint from its archive-entry dict."""
+    def load(cls, path: str | os.PathLike) -> "TrainerCheckpoint":
+        """Read a checkpoint written by :meth:`save`."""
+        source = normalize_npz_path(path)
+        with np.load(source) as archive:
+            arrays = {key: archive[key] for key in archive.files}
         if "meta" not in arrays:
             raise ValueError(f"{source!r} is not a trainer checkpoint "
                              f"(no meta entry)")
@@ -150,58 +124,41 @@ class TrainerCheckpoint:
             version=version,
         )
 
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "TrainerCheckpoint":
-        """Read a checkpoint written by :meth:`save`."""
-        path = normalize_npz_path(path)
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        return cls.from_arrays(arrays, source=path)
-
 
 class CheckpointManager:
     """Cadence + retention policy over epoch-numbered checkpoints.
 
-    Archives are named ``ckpt-<epoch>.npz`` inside the backing
-    :class:`~repro.training.storage.CheckpointStore`; the last
-    ``keep_last`` are retained, plus ``best.npz``.  ``manifest.json``
-    (written by the training engine) lives alongside and is never
-    pruned.  ``store`` accepts a directory path (shorthand for the
-    local-directory backend) or any store instance.
+    Archives are named ``ckpt-<epoch>.npz`` inside ``directory`` (created
+    if missing); the last ``keep_last`` are retained, plus ``best.npz``.
+    ``manifest.json`` (written by the training engine) lives alongside
+    and is never pruned.
     """
 
-    def __init__(self, store: CheckpointStore | str | os.PathLike,
-                 save_every: int = 1, keep_last: int = 3):
+    def __init__(self, directory: str | os.PathLike, save_every: int = 1,
+                 keep_last: int = 3):
         if save_every < 1:
             raise ValueError("save_every must be positive")
         if keep_last < 1:
             raise ValueError("keep_last must be positive")
-        if not isinstance(store, CheckpointStore):
-            store = LocalDirectoryStore(store)
-        self.store = store
-        self.directory = store.root
+        self.directory = os.fspath(directory)
+        os.makedirs(self.directory, exist_ok=True)
         self.save_every = save_every
         self.keep_last = keep_last
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def epoch_name(epoch: int) -> str:
-        """Canonical blob name for the checkpoint after ``epoch`` epochs."""
-        return f"ckpt-{epoch:05d}.npz"
-
     def epoch_path(self, epoch: int) -> str:
-        """Locator of the checkpoint after ``epoch`` epochs."""
-        return self.store.locator(self.epoch_name(epoch))
+        """Path of the checkpoint after ``epoch`` epochs."""
+        return os.path.join(self.directory, f"ckpt-{epoch:05d}.npz")
 
     @property
     def best_path(self) -> str:
-        """Locator of the best-so-far checkpoint (``best.npz``)."""
-        return self.store.locator("best.npz")
+        """Path of the best-so-far checkpoint (``best.npz``)."""
+        return os.path.join(self.directory, "best.npz")
 
     @property
     def manifest_path(self) -> str:
-        """Locator of the run manifest kept next to the checkpoints."""
-        return self.store.locator("manifest.json")
+        """Path of the run manifest kept next to the checkpoints."""
+        return os.path.join(self.directory, "manifest.json")
 
     def due(self, epoch: int, final: bool = False) -> bool:
         """Whether the cadence calls for a save after ``epoch`` epochs."""
@@ -212,75 +169,50 @@ class CheckpointManager:
              is_best: bool = False) -> str:
         """Write ``checkpoint`` for its epoch, prune, update best."""
         arrays = checkpoint.to_arrays()
-        locator = self.store.write_arrays(
-            self.epoch_name(checkpoint.epoch), arrays)
+        path = atomic_savez(self.epoch_path(checkpoint.epoch), **arrays)
         if is_best:
-            self.store.write_arrays("best.npz", arrays)
+            atomic_savez(self.best_path, **arrays)
         self.prune()
-        return locator
+        return path
 
     def prune(self) -> list:
-        """Delete epoch archives beyond ``keep_last``; returns locators."""
+        """Delete epoch archives beyond ``keep_last``; returns their paths."""
         removed = []
-        for _epoch, name in self._epoch_names()[:-self.keep_last]:
-            locator = self.store.locator(name)
-            self.store.delete(name)
-            removed.append(locator)
+        for _epoch, path in self.epoch_checkpoints()[:-self.keep_last]:
+            os.unlink(path)
+            removed.append(path)
         return removed
 
-    # ------------------------------------------------------------------
-    def _epoch_names(self) -> list:
-        """``(epoch, blob name)`` pairs in the store, oldest first."""
+    def epoch_checkpoints(self) -> list:
+        """``(epoch, path)`` pairs in the directory, oldest first."""
         found = []
-        for name in self.store.list():
+        for name in os.listdir(self.directory):
             match = _EPOCH_FILE.match(name)
             if match:
-                found.append((int(match.group(1)), name))
+                found.append((int(match.group(1)),
+                              os.path.join(self.directory, name)))
         return sorted(found)
 
-    def epoch_checkpoints(self) -> list:
-        """``(epoch, locator)`` pairs in the store, oldest first."""
-        return [(epoch, self.store.locator(name))
-                for epoch, name in self._epoch_names()]
-
     def latest_path(self) -> str | None:
-        """Locator of the newest epoch checkpoint, or None when empty."""
+        """Path of the newest epoch checkpoint, or None when empty."""
         found = self.epoch_checkpoints()
         return found[-1][1] if found else None
 
-    def load_latest(self) -> tuple:
-        """``(checkpoint, locator)`` of the newest epoch archive.
-
-        Works for every backend (the archive is read through the store,
-        not the filesystem); raises ``FileNotFoundError`` when the store
-        holds no epoch checkpoints.
-        """
-        names = self._epoch_names()
-        if not names:
-            raise FileNotFoundError(
-                f"no ckpt-*.npz checkpoints in store {self.store.root!r}")
-        _epoch, name = names[-1]
-        return (TrainerCheckpoint.from_arrays(self.store.read_arrays(name),
-                                              source=name),
-                self.store.locator(name))
-
     def write_manifest(self, manifest: RunManifest) -> str:
-        """Write the run manifest through the store; returns its locator."""
-        return self.store.write_json("manifest.json", manifest.to_dict())
+        """Write the run manifest atomically; returns its path."""
+        return manifest.write(self.manifest_path)
 
     @staticmethod
     def resolve(path: str | os.PathLike) -> str:
         """Resolve a checkpoint argument: a file, or a run directory.
 
-        Directories resolve to their newest epoch checkpoint (sharded
-        layouts included — see :func:`open_directory_store`), so
+        Directories resolve to their newest epoch checkpoint, so
         ``resume_from=<checkpoint_dir>`` continues from wherever a killed
         run got to.
         """
         path = os.fspath(path)
         if os.path.isdir(path):
-            latest = CheckpointManager(open_directory_store(path)) \
-                .latest_path()
+            latest = CheckpointManager(path).latest_path()
             if latest is None:
                 raise FileNotFoundError(
                     f"no ckpt-*.npz checkpoints in directory {path!r}")

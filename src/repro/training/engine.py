@@ -1,30 +1,30 @@
-"""The unified fault-tolerant training engine.
+"""The fault-tolerant training engine.
 
 Every gradient trainer in the repo — POSHGNN and the DCRNN/T-GCN
 baselines trained with the POSHGNN loss for the paper's fair-comparison
-protocol — runs the *same conceptual loop*: epochs over episodes,
-non-finite losses rolled back with a learning-rate backoff, periodic
-checkpoints with last-k + best retention, best-model selection over the
-loss history, a run manifest and a JSONL event trail.  This module owns
-that loop once.
+protocol — runs one loop: epochs over episodes, non-finite losses
+rolled back with a learning-rate backoff, periodic checkpoints with
+last-k + best retention, best-model selection over the loss history, a
+run manifest and a JSONL event trail.  This module owns that loop once.
 
-* :class:`TrainableSpec` — the small protocol a model supplies: step one
-  training episode, capture/restore model+optimiser state, expose the
-  live learning rate, resolve the loss alpha, and describe itself for
-  the run manifest.
-* :class:`TrainingEngine` — the loop itself: epochs, shuffling from a
-  checkpointed RNG, :class:`~repro.training.DivergenceGuard`
-  rollback/backoff, :class:`~repro.training.CheckpointManager` cadence
-  over any :class:`~repro.training.storage.CheckpointStore` backend,
-  :class:`~repro.training.RunManifest` + ``events.jsonl`` writing and
-  ``repro.obs`` span/histogram emission.  ``train(problems,
-  resume_from=...)`` restarts a killed run **bit-identically** to one
-  that was never interrupted.
+* :class:`TrainingEngine` — the loop itself.  It owns the model, its
+  Adam optimiser, the seeded shuffling RNG and the resolved loss alpha,
+  and reads them directly for rollback, checkpointing, learning-rate
+  backoff and best-model selection.  A subclass supplies
+  :meth:`~TrainingEngine.train_episode` (one truncated-BPTT episode),
+  :meth:`~TrainingEngine.resolve_alpha` and
+  :meth:`~TrainingEngine.manifest_config`; ``POSHGNNTrainer`` is that
+  subclass for every model.  With ``checkpoint_dir`` set, the run
+  directory holds the :class:`~repro.training.CheckpointManager`
+  archives, ``manifest.json`` and ``events.jsonl``, and
+  ``train(problems, resume_from=...)`` restarts a killed run
+  **bit-identically** to one that was never interrupted.
 * :func:`run_restarts` / :class:`RestartAttempt` — the multi-restart
   model-selection protocol (recurrent models are initialisation
   sensitive; the paper trains several seeds and keeps the best by
   training-episode AFTER utility), shared by ``POSHGNN.fit`` and the
-  recurrent baselines instead of being duplicated in each.
+  recurrent baselines: it gives every attempt its run directory and
+  resume checkpoint.
 * :func:`load_fit` — restore a completed multi-restart fit from its run
   directory, which is how the bench drivers resume a killed table
   regeneration without re-fitting completed methods.
@@ -38,28 +38,70 @@ import time
 
 import numpy as np
 
+from ..core import evaluation
+from ..nn import Adam
 from ..nn.serialization import load_module, save_module
 from ..obs import DEFAULT_VALUE_BOUNDARIES, PERF, EventLog
 from .checkpoint import CheckpointManager, TrainerCheckpoint
 from .guards import DivergenceGuard, GuardConfig, NonFiniteSignal, TrainingDiverged
 from .manifest import RunManifest
-from .storage import CheckpointStore
 
-__all__ = ["TrainableSpec", "TrainingEngine", "RestartAttempt",
-           "run_restarts", "load_fit"]
+__all__ = ["TrainingEngine", "RestartAttempt", "run_restarts", "load_fit"]
 
 
-class TrainableSpec:
-    """What a model must supply to run on the :class:`TrainingEngine`.
+class TrainingEngine:
+    """One fault-tolerant epoch loop for every gradient trainer.
 
-    Implementations hold the model and its optimiser; the engine owns
-    everything else (epochs, guards, checkpoints, manifests, events).
+    Parameters
+    ----------
+    model:
+        The module being trained; the engine builds its Adam optimiser
+        at ``lr``.
+    epochs / shuffle / seed:
+        Loop length and optional per-epoch episode shuffling from an
+        engine-owned RNG seeded with ``seed`` whose state is
+        checkpointed, so resumed runs draw the same orders an
+        uninterrupted run would.
+    checkpoint_dir:
+        Run directory for checkpoints, ``manifest.json`` and
+        ``events.jsonl``; ``None`` disables persistence (guards still
+        roll back to in-memory recovery points).
+    save_every / keep_last:
+        Checkpoint cadence in epochs and epoch-archive retention.
+    guard:
+        Divergence/early-stop policy (:class:`GuardConfig`).
+    on_epoch_end:
+        Optional callback ``(engine, epoch, history)`` after each
+        completed epoch (progress reporting, external kill switches).
     """
 
     #: ``kind`` recorded in the run manifest (e.g. ``"poshgnn-train"``).
     manifest_kind = "train"
 
-    # -- loss configuration --------------------------------------------
+    def __init__(self, model, *, lr: float, epochs: int, seed: int = 0,
+                 shuffle: bool = False,
+                 checkpoint_dir: str | os.PathLike | None = None,
+                 save_every: int = 1, keep_last: int = 3,
+                 guard: GuardConfig | None = None, verbose: bool = False,
+                 on_epoch_end=None):
+        if epochs < 1:
+            raise ValueError("epochs must be positive")
+        self.model = model
+        self.optimizer = Adam(model.parameters(), lr=lr)
+        self.epochs = epochs
+        self.shuffle = shuffle
+        self.rng = np.random.default_rng(seed)
+        self.checkpoint_dir = checkpoint_dir
+        self.save_every = save_every
+        self.keep_last = keep_last
+        self.guard_config = guard or GuardConfig()
+        self.verbose = verbose
+        self.on_epoch_end = on_epoch_end
+        self.resolved_alpha = None
+
+    # ------------------------------------------------------------------
+    # What a subclass supplies
+    # ------------------------------------------------------------------
     def resolve_alpha(self, problems: list):
         """Resolve the loss alpha for this problem set (None if unused).
 
@@ -69,10 +111,6 @@ class TrainableSpec:
         """
         return None
 
-    def set_resolved_alpha(self, value) -> None:
-        """Receive the alpha the run will train with (fresh or resumed)."""
-
-    # -- the inner loop -------------------------------------------------
     def train_episode(self, problem, guard: DivergenceGuard,
                       epoch: int) -> float:
         """Train one episode; returns its summed window loss.
@@ -84,95 +122,22 @@ class TrainableSpec:
         """
         raise NotImplementedError
 
-    # -- state capture (rollback + checkpointing) ----------------------
-    def capture_state(self) -> dict:
-        """Snapshot ``{"model": ..., "optim": ...}`` state dicts."""
-        raise NotImplementedError
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Restore a :meth:`capture_state` snapshot."""
-        raise NotImplementedError
-
-    def model_state(self) -> dict:
-        """The model's state dict alone (best-epoch snapshots)."""
-        raise NotImplementedError
-
-    def load_model_state(self, state: dict) -> None:
-        """Load a :meth:`model_state` snapshot (best-model selection)."""
-        raise NotImplementedError
-
-    # -- learning rate (guard backoff) ---------------------------------
-    @property
-    def lr(self) -> float:
-        """Live learning rate; the guard reads it before each backoff."""
-        raise NotImplementedError
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        raise NotImplementedError
-
-    # -- provenance -----------------------------------------------------
     def manifest_config(self) -> dict:
         """Configuration block recorded in the run manifest."""
         return {}
-
-
-class TrainingEngine:
-    """One fault-tolerant epoch loop for every gradient trainer.
-
-    Parameters
-    ----------
-    spec:
-        The :class:`TrainableSpec` being trained.
-    epochs / shuffle / rng:
-        Loop length and optional per-epoch episode shuffling from an
-        engine-checkpointed RNG (pass the trainer's RNG so resumed runs
-        draw the same orders an uninterrupted run would).
-    store:
-        ``None`` disables persistence (guards still roll back to
-        in-memory recovery points); a directory path selects the local
-        backend; any :class:`~repro.training.storage.CheckpointStore`
-        plugs in other layouts (in-memory, sharded).
-    save_every / keep_last:
-        Checkpoint cadence in epochs and epoch-archive retention.
-    guard:
-        Divergence/early-stop policy (:class:`GuardConfig`).
-    on_epoch_end:
-        Optional callback ``(engine, epoch, history)`` after each
-        completed epoch (progress reporting, external kill switches).
-    """
-
-    def __init__(self, spec: TrainableSpec, *, epochs: int,
-                 shuffle: bool = False, rng=None,
-                 store: CheckpointStore | str | os.PathLike | None = None,
-                 save_every: int = 1, keep_last: int = 3,
-                 guard: GuardConfig | None = None, verbose: bool = False,
-                 on_epoch_end=None):
-        if epochs < 1:
-            raise ValueError("epochs must be positive")
-        self.spec = spec
-        self.epochs = epochs
-        self.shuffle = shuffle
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.store = store
-        self.save_every = save_every
-        self.keep_last = keep_last
-        self.guard_config = guard or GuardConfig()
-        self.verbose = verbose
-        self.on_epoch_end = on_epoch_end
-        self.resolved_alpha = None
 
     # ------------------------------------------------------------------
     # Recovery points
     # ------------------------------------------------------------------
     def _capture(self) -> dict:
-        """Snapshot spec + RNG state for rollback or checkpointing."""
-        snapshot = dict(self.spec.capture_state())
-        snapshot["rng"] = self.rng.bit_generator.state
-        return snapshot
+        """Snapshot model, optimiser and RNG state."""
+        return {"model": self.model.state_dict(),
+                "optim": self.optimizer.state_dict(),
+                "rng": self.rng.bit_generator.state}
 
     def _restore(self, snapshot: dict) -> None:
-        self.spec.restore_state(snapshot)
+        self.model.load_state_dict(snapshot["model"])
+        self.optimizer.load_state_dict(snapshot["optim"])
         self.rng.bit_generator.state = snapshot["rng"]
 
     @staticmethod
@@ -186,44 +151,28 @@ class TrainingEngine:
                 best_epoch = index
         return reference, best_epoch
 
-    def _load_resume(self, resume_from) -> tuple:
-        """Resolve ``resume_from`` to ``(checkpoint, recorded locator)``.
-
-        Accepts a checkpoint file, a run directory (flat or sharded —
-        resolved to the newest epoch archive), a
-        :class:`~repro.training.storage.CheckpointStore`, or a
-        :class:`TrainerCheckpoint` instance.
-        """
-        if isinstance(resume_from, TrainerCheckpoint):
-            return resume_from, "<checkpoint object>"
-        if isinstance(resume_from, CheckpointStore):
-            return CheckpointManager(resume_from).load_latest()
-        path = CheckpointManager.resolve(resume_from)
-        return TrainerCheckpoint.load(path), path
-
     # ------------------------------------------------------------------
     # The training loop
     # ------------------------------------------------------------------
     def train(self, problems: list, resume_from=None) -> dict:
         """Run the full training loop; returns a loss history dict.
 
-        ``resume_from`` accepts a checkpoint file, a run directory
-        (resolved to its newest epoch archive), a store, or a loaded
-        :class:`TrainerCheckpoint`; the run continues from the stored
-        epoch cursor bit-identically to a run that was never
+        ``resume_from`` accepts a checkpoint file or a run directory
+        (resolved to its newest epoch archive); the run continues from
+        the stored epoch cursor bit-identically to a run that was never
         interrupted.
         """
         if not problems:
             raise ValueError("no training problems")
-        spec = self.spec
 
         manager = None
         event_log = None
-        if self.store is not None:
-            manager = CheckpointManager(self.store,
+        if self.checkpoint_dir is not None:
+            manager = CheckpointManager(self.checkpoint_dir,
                                         save_every=self.save_every,
                                         keep_last=self.keep_last)
-            event_log = EventLog(manager.store.file_path("events.jsonl"))
+            event_log = EventLog(os.path.join(manager.directory,
+                                              "events.jsonl"))
         guard = DivergenceGuard(self.guard_config, sink=event_log)
 
         history: list[float] = []
@@ -232,9 +181,10 @@ class TrainingEngine:
         epoch = 0
         resumed_path = None
         if resume_from is not None:
-            checkpoint, resumed_path = self._load_resume(resume_from)
-            spec.restore_state({"model": checkpoint.model_state,
-                                "optim": checkpoint.optimizer_state})
+            resumed_path = CheckpointManager.resolve(resume_from)
+            checkpoint = TrainerCheckpoint.load(resumed_path)
+            self.model.load_state_dict(checkpoint.model_state)
+            self.optimizer.load_state_dict(checkpoint.optimizer_state)
             if checkpoint.rng_state is not None:
                 self.rng.bit_generator.state = checkpoint.rng_state
             history = list(checkpoint.history)
@@ -244,10 +194,9 @@ class TrainingEngine:
             guard.events = list(checkpoint.guard_events)
             self.resolved_alpha = checkpoint.alpha
             if self.resolved_alpha is None:
-                self.resolved_alpha = spec.resolve_alpha(problems)
+                self.resolved_alpha = self.resolve_alpha(problems)
         else:
-            self.resolved_alpha = spec.resolve_alpha(problems)
-        spec.set_resolved_alpha(self.resolved_alpha)
+            self.resolved_alpha = self.resolve_alpha(problems)
 
         patience_ref, best_epoch = self._scan_history(
             history, self.guard_config.min_delta)
@@ -270,7 +219,7 @@ class TrainingEngine:
                     epoch_loss = 0.0
                     with PERF.scope("train.epoch", {"epoch": epoch}):
                         for index in order:
-                            epoch_loss += spec.train_episode(
+                            epoch_loss += self.train_episode(
                                 problems[index], guard, epoch)
                 except NonFiniteSignal as signal:
                     # Roll back before deciding whether to retry, so even
@@ -279,19 +228,20 @@ class TrainingEngine:
                     # live lr is read before the restore (the recovery
                     # snapshot holds the pre-backoff lr) so consecutive
                     # backoffs compound.
-                    current_lr = spec.lr
+                    current_lr = self.optimizer.lr
                     self._restore(recovery)
                     PERF.count(f"train.guard.{signal.kind}")
                     try:
-                        spec.lr = guard.on_nonfinite(signal, current_lr)
+                        self.optimizer.lr = guard.on_nonfinite(signal,
+                                                               current_lr)
                     except TrainingDiverged as exhausted:
-                        spec.lr = exhausted.lr_after
+                        self.optimizer.lr = exhausted.lr_after
                         raise
                     PERF.count("train.guard.rollbacks")
                     if self.verbose:
                         print(f"epoch {epoch + 1}: non-finite "
                               f"{signal.kind}, rolled back, "
-                              f"lr -> {spec.lr:.2e}")
+                              f"lr -> {self.optimizer.lr:.2e}")
                     continue
 
                 PERF.count("train.epochs")
@@ -302,7 +252,7 @@ class TrainingEngine:
                              boundaries=DEFAULT_VALUE_BOUNDARIES)
                 if history[-1] < best_loss:
                     best_loss = history[-1]
-                    best_state = spec.model_state()
+                    best_state = self.model.state_dict()
                     best_dirty = True
                 if history[-1] < patience_ref - self.guard_config.min_delta:
                     patience_ref = history[-1]
@@ -331,12 +281,12 @@ class TrainingEngine:
                                    path=saved_path, best=best_dirty)
                     best_dirty = False
                     PERF.count("train.checkpoints")
-                    self._write_manifest(manager, guard, history, best_loss,
-                                         best_epoch, epoch - start_epoch,
+                    self._write_manifest(manager, event_log, guard, history,
+                                         best_loss, best_epoch,
+                                         epoch - start_epoch,
                                          time.perf_counter() - started,
                                          perf_mark, resumed_path,
-                                         early_stopped=False,
-                                         event_log=event_log)
+                                         early_stopped=False)
                 if self.on_epoch_end is not None:
                     self.on_epoch_end(self, epoch, history)
                 if guard.should_stop_early(epoch, best_epoch):
@@ -345,7 +295,7 @@ class TrainingEngine:
                     break
 
             if best_state is not None:
-                spec.load_model_state(best_state)
+                self.model.load_state_dict(best_state)
 
             wall_clock = time.perf_counter() - started
             result = {
@@ -363,9 +313,9 @@ class TrainingEngine:
                                early_stopped=early_stopped,
                                wall_clock_s=wall_clock)
                 result["manifest_path"] = self._write_manifest(
-                    manager, guard, history, best_loss, best_epoch,
-                    epoch - start_epoch, wall_clock, perf_mark,
-                    resumed_path, early_stopped, event_log=event_log)
+                    manager, event_log, guard, history, best_loss,
+                    best_epoch, epoch - start_epoch, wall_clock, perf_mark,
+                    resumed_path, early_stopped)
                 result["checkpoint_dir"] = manager.directory
                 result["events_path"] = event_log.path
             return result
@@ -374,15 +324,15 @@ class TrainingEngine:
                 event_log.close()
 
     # ------------------------------------------------------------------
-    def _write_manifest(self, manager, guard, history, best_loss,
+    def _write_manifest(self, manager, event_log, guard, history, best_loss,
                         best_epoch, epochs_run, wall_clock, perf_mark,
-                        resumed_path, early_stopped, event_log=None) -> str:
+                        resumed_path, early_stopped) -> str:
         metrics = {name: histogram.as_dict()
                    for name, histogram in sorted(PERF.histograms.items())
                    if name.startswith("train.")}
         manifest = RunManifest(
-            kind=self.spec.manifest_kind,
-            config=self.spec.manifest_config(),
+            kind=self.manifest_kind,
+            config=self.manifest_config(),
             history=[float(value) for value in history],
             best_loss=None if not np.isfinite(best_loss)
             else float(best_loss),
@@ -392,9 +342,8 @@ class TrainingEngine:
             perf=PERF.delta_since(perf_mark),
             metrics=metrics,
             guard_events=list(guard.events),
-            events_path=event_log.path if event_log is not None else None,
-            events_summary=event_log.summary()
-            if event_log is not None else {},
+            events_path=event_log.path,
+            events_summary=event_log.summary(),
             checkpoints=[path for _, path in manager.epoch_checkpoints()],
             resumed_from=resumed_path,
             early_stopped=early_stopped,
@@ -419,28 +368,40 @@ class RestartAttempt:
         self.params = dict(params or {})
 
 
-def run_restarts(model, attempts: list, *, prepare, train, score,
-                 run_dir: str | None = None, manifest_kind: str = "fit",
+def run_restarts(model, problems: list, attempts: list, *, prepare,
+                 make_trainer, run_dir: str | None = None,
+                 resume_from: str | os.PathLike | None = None,
+                 manifest_kind: str = "fit",
                  manifest_config: dict | None = None,
                  apply_params=None) -> dict:
     """Train ``attempts`` fits of ``model`` and keep the best by score.
 
     The shared restart protocol behind ``POSHGNN.fit`` and the recurrent
-    baselines: every attempt is prepared (reinitialised), trained and
-    scored by its *training-episode* utility, and the winning state is
-    loaded back into the model.  With ``run_dir`` set, a
-    ``fit_manifest.json`` records every attempt, the winner and
-    ``complete: true``, and the selected parameters are saved to
-    ``model.npz`` — which is what lets :func:`load_fit` (and the bench
-    drivers) restore a finished fit without re-training.
+    baselines: every attempt is prepared (reinitialised), trained on
+    ``problems`` and scored by its mean *training-episode* AFTER
+    utility, and the winning state is loaded back into the model.  With
+    ``run_dir`` set, attempt ``<label>`` trains under
+    ``run_dir/<label>``, a ``fit_manifest.json`` records every attempt,
+    the winner and ``complete: true``, and the selected parameters are
+    saved to ``model.npz`` — which is what lets :func:`load_fit` (and
+    the bench drivers) restore a finished fit without re-training.
+    ``resume_from=<previous run_dir>`` continues a killed fit: each
+    attempt resumes from the newest checkpoint under
+    ``resume_from/<label>``, so completed attempts fast-forward and the
+    interrupted one resumes mid-run bit-identically.
 
     ``prepare(attempt)`` reinitialises the model for an attempt;
-    ``train(attempt)`` runs it and returns the engine's history dict;
-    ``score(attempt)`` values the trained model (higher is better);
-    ``apply_params(params)`` re-applies the winning attempt's params.
+    ``make_trainer(checkpoint_dir)`` builds the attempt's
+    :class:`TrainingEngine` — it is also called once before the first
+    attempt, so a rejected keyword or setting raises while the model is
+    still untouched; ``apply_params(params)`` re-applies the winning
+    attempt's params.
     """
     if not attempts:
         raise ValueError("restarts must be positive")
+    if not problems:
+        raise ValueError("no training problems")
+    make_trainer(None)
     best_utility = -np.inf
     best_state = None
     best_attempt = None
@@ -448,8 +409,21 @@ def run_restarts(model, attempts: list, *, prepare, train, score,
     records: list[dict] = []
     for attempt in attempts:
         prepare(attempt)
-        history = train(attempt)
-        utility = float(score(attempt))
+        checkpoint_dir = None
+        if run_dir is not None:
+            checkpoint_dir = os.path.join(run_dir, attempt.label)
+        resume = None
+        if resume_from is not None:
+            candidate = os.path.join(os.fspath(resume_from), attempt.label)
+            if os.path.isdir(candidate):
+                resume = CheckpointManager(candidate).latest_path()
+        history = make_trainer(checkpoint_dir).train(problems,
+                                                     resume_from=resume)
+        # Called through its module so a tracer that patches
+        # evaluate_episode sees the restart scoring.
+        utility = float(np.mean([
+            evaluation.evaluate_episode(problem, model).after_utility
+            for problem in problems]))
         records.append({"label": attempt.label, "seed": attempt.seed,
                         **attempt.params, "train_utility": utility,
                         "best_loss": history.get("best_loss")})

@@ -27,9 +27,30 @@ class TestSharedLoss:
         assert a == b
 
     def test_loss_is_shared_implementation(self):
-        """The baselines import POSHGNN's loss, not a re-implementation."""
+        """The baselines train with POSHGNN's trainer, hence its loss."""
         from repro.models.baselines import recurrent
-        assert recurrent.POSHGNNLoss is POSHGNNLoss
+        from repro.models.poshgnn import trainer
+        assert recurrent.POSHGNNTrainer is trainer.POSHGNNTrainer
+        assert trainer.POSHGNNLoss is POSHGNNLoss
+
+    @pytest.mark.parametrize("model_class",
+                             [DCRNNRecommender, TGCNRecommender])
+    def test_baselines_train_through_poshgnn_trainer(self, train_problems,
+                                                     model_class,
+                                                     monkeypatch):
+        from repro.models.poshgnn.trainer import POSHGNNTrainer
+        trainers = []
+        original = POSHGNNTrainer.train_episode
+
+        def recorded(trainer, problem, guard, epoch):
+            trainers.append(trainer)
+            return original(trainer, problem, guard, epoch)
+
+        monkeypatch.setattr(POSHGNNTrainer, "train_episode", recorded)
+        model = model_class(seed=0)
+        model.fit(train_problems, epochs=1, restarts=1)
+        assert trainers
+        assert all(trainer.model is model for trainer in trainers)
 
 
 class TestParameterBudgets:

@@ -44,7 +44,6 @@ def test_public_api_documented(module_name):
     "repro.nn", "repro.nn.tape", "repro.mwis", "repro.crowd",
     "repro.social", "repro.study",
     "repro.bench", "repro.viz", "repro.training", "repro.training.engine",
-    "repro.training.storage",
     "repro.obs",
     "repro.serving", "repro.serving.session", "repro.serving.engine",
     "repro.serving.replay", "repro.serving.workload",

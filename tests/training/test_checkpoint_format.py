@@ -139,6 +139,38 @@ class TestCheckpointManager:
             CheckpointManager(tmp_path, keep_last=0)
 
 
+class TestRunDirectory:
+    """The flat run directory a checkpointed training run writes."""
+
+    def test_writes_leave_no_temporaries(self, tmp_path):
+        manager = CheckpointManager(tmp_path, keep_last=2)
+        for epoch in (1, 2, 3):
+            manager.save(_small_checkpoint(epoch=epoch), is_best=True)
+            manager.write_manifest(RunManifest(kind="poshgnn-train",
+                                               epochs_run=epoch))
+        assert [name for name in os.listdir(tmp_path)
+                if name.startswith(".tmp-")] == []
+        assert RunManifest.load(manager.manifest_path).epochs_run == 3
+
+    def test_prune_keeps_last_k_plus_best(self, tmp_path):
+        manager = CheckpointManager(tmp_path, keep_last=2)
+        for epoch in (1, 2, 3):
+            manager.save(_small_checkpoint(epoch=epoch), is_best=True)
+        assert [epoch for epoch, _ in manager.epoch_checkpoints()] == [2, 3]
+        assert sorted(os.listdir(tmp_path)) == [
+            "best.npz", "ckpt-00002.npz", "ckpt-00003.npz"]
+        assert manager.latest_path() == manager.epoch_path(3)
+        assert TrainerCheckpoint.load(manager.best_path).epoch == 3
+
+    def test_resolve_without_epoch_archives_raises(self, tmp_path):
+        """``best.npz`` and the manifest alone are nothing to resume."""
+        manager = CheckpointManager(tmp_path)
+        _small_checkpoint().save(manager.best_path)
+        manager.write_manifest(RunManifest(kind="poshgnn-train"))
+        with pytest.raises(FileNotFoundError):
+            CheckpointManager.resolve(tmp_path)
+
+
 class TestRunManifest:
     def test_write_and_load(self, tmp_path):
         manifest = RunManifest(kind="poshgnn-train",

@@ -126,13 +126,13 @@ def test_early_stopping_on_stagnant_best(problems, monkeypatch):
     model = POSHGNN(seed=0)
     trainer = POSHGNNTrainer(model, epochs=30,
                              guard=GuardConfig(patience=3))
-    original = trainer._train_episode
+    original = trainer.train_episode
 
     def flat_episode(problem, guard, epoch):
         original(problem, guard, epoch)
         return next(flat)
 
-    monkeypatch.setattr(trainer, "_train_episode", flat_episode)
+    monkeypatch.setattr(trainer, "train_episode", flat_episode)
     result = trainer.train(problems[:1])
     assert result["early_stopped"]
     assert len(result["loss"]) == 4  # 1 best + 3 patience
