@@ -40,10 +40,10 @@ Besides the timings the harness records:
   :func:`~repro.obs.load_incident`;
 * a *telemetry overhead* row: the identical steady-state tick loop run
   with the :class:`~repro.obs.TelemetrySampler` off and on (one sample
-  per tick), proving live sampling costs under
-  :data:`TELEMETRY_OVERHEAD_CEILING` and writing the sampled per-shard
-  series as ``telemetry_serving.json`` for ``python -m repro.obs
-  top``/``slo``.
+  per tick) over :data:`TELEMETRY_PAIRS` interleaved pairs, gating the
+  median per-pair cost against :data:`TELEMETRY_OVERHEAD_CEILING` and
+  writing the sampled per-shard series as ``telemetry_serving.json``
+  for ``python -m repro.obs top``/``slo``.
 
 Artifacts land under ``REPRO_RUN_DIR`` (falling back to the repo's
 gitignored ``runs/`` directory), never at the repo root.
@@ -69,10 +69,10 @@ from repro.core.problem import AfterProblem
 from repro.datasets import RoomConfig, generate_room
 from repro.models import NearestRecommender
 from repro.obs import (PERF, TRACER, EventLog, FlightRecorder, SloMonitor,
-                       SloRule, TelemetrySampler, evaluate_recorded,
-                       load_incident, write_chrome_trace)
+                       SloRule, TelemetrySampler, load_incident,
+                       write_chrome_trace)
 from repro.serving import (Fleet, ReplayDriver, RoomSession, SessionEngine,
-                           WorkloadGenerator, canned_spec)
+                           canned_spec, run_scenario)
 
 __all__ = ["ServingBenchConfig", "run_serving_bench", "main"]
 
@@ -95,9 +95,14 @@ FLEET_SCALING_FLOOR = 1.7
 
 #: Acceptance ceiling: steady-state streaming with the telemetry
 #: sampler on (one sample per tick, PERF enabled) may cost at most this
-#: fraction over the telemetry-off loop.  Enforced at full scale only —
-#: tiny CI runs record the measured fraction but are pure noise.
+#: fraction over the telemetry-off loop, in the median over
+#: :data:`TELEMETRY_PAIRS` pairs.  Enforced at full scale only — tiny
+#: CI runs record the measured fraction but are pure noise.
 TELEMETRY_OVERHEAD_CEILING = 0.03
+
+#: Interleaved telemetry-off/telemetry-on pairs the overhead check
+#: times; the arm that runs first alternates from pair to pair.
+TELEMETRY_PAIRS = 11
 
 #: The SLO rules the forced-overload run is monitored against.  The
 #: shed-rate rule *must* breach — the undersized queue sheds
@@ -299,33 +304,39 @@ def _telemetry_stream(workload, config: ServingBenchConfig,
 
 def _telemetry_overhead(workload, config: ServingBenchConfig,
                         fingerprint, telemetry_path=None) -> dict:
-    """Best-of-repeats telemetry-off vs telemetry-on comparison.
+    """Median-of-pairs telemetry-off vs telemetry-on comparison.
 
-    The arms alternate within each repeat so thermal/background drift
-    hits both sides equally.  The sampled series of the fastest
-    telemetry run is written to ``telemetry_path`` for the ``obs top`` /
-    ``obs slo`` CLIs.
+    Times :data:`TELEMETRY_PAIRS` pairs of back-to-back arms; the arm
+    that runs first alternates between pairs, so drift in host speed
+    hits both sides alike.  ``overhead_frac`` is the median per-pair
+    on/off ratio minus one; every pair and the ratios' interquartile
+    range are recorded with it.  The sampled series of the last
+    telemetry run is written to ``telemetry_path`` for the ``obs top``
+    / ``obs slo`` CLIs.
     """
-    baseline_s = np.inf
-    telemetry_s = np.inf
-    baseline_results = telemetry_results = None
+    pairs = []
+    identical = True
     sampler = None
-    for _ in range(config.repeats):
-        elapsed, baseline_results, _ = _telemetry_stream(
-            workload, config, telemetry=False)
-        baseline_s = min(baseline_s, elapsed)
-        elapsed, telemetry_results, run_sampler = _telemetry_stream(
-            workload, config, telemetry=True)
-        if elapsed < telemetry_s:
-            telemetry_s, sampler = elapsed, run_sampler
+    for index in range(TELEMETRY_PAIRS):
+        seconds = {}
+        for telemetry in (index % 2 == 1, index % 2 == 0):
+            elapsed, results, run_sampler = _telemetry_stream(
+                workload, config, telemetry=telemetry)
+            seconds[telemetry] = elapsed
+            identical = identical \
+                and _episode_fingerprint(results) == fingerprint
+            if telemetry:
+                sampler = run_sampler
+        pairs.append({"baseline_s": seconds[False],
+                      "telemetry_s": seconds[True]})
+    ratios = [pair["telemetry_s"] / pair["baseline_s"] for pair in pairs]
+    q25, median, q75 = np.percentile(ratios, [25, 50, 75])
     record = {
-        "baseline_s": baseline_s,
-        "telemetry_s": telemetry_s,
-        "overhead_frac": telemetry_s / baseline_s - 1.0,
+        "pairs": pairs,
+        "overhead_frac": float(median) - 1.0,
+        "overhead_iqr": float(q75 - q25),
         "samples": sampler.samples,
-        "metrics_identical": bool(
-            _episode_fingerprint(baseline_results) == fingerprint
-            and _episode_fingerprint(telemetry_results) == fingerprint),
+        "metrics_identical": bool(identical),
     }
     if telemetry_path is not None:
         record["series_path"] = sampler.save(telemetry_path)
@@ -349,7 +360,7 @@ def _slo_overload(workload, config: ServingBenchConfig,
         incident_root = tempfile.mkdtemp(prefix="repro-slo-incidents-")
     events = EventLog()
     recorder = FlightRecorder(directory=incident_root)
-    recorder.attach(tracer=TRACER, events=events, retain_spans=False)
+    recorder.attach(tracer=TRACER, events=events)
     rules = [SloRule.parse(spec, name=name)
              for name, spec in SLO_OVERLOAD_RULES]
     PERF.reset().enable()
@@ -482,53 +493,35 @@ def _fleet_scaling(workload, config: ServingBenchConfig,
 def _scenario_run(name: str, config: ServingBenchConfig) -> dict:
     """One catalogue scenario end to end, with SLO replay.
 
-    Lowers the canned spec (shortened horizon in the tiny smoke),
-    drives the plan through a two-shard fleet (in-process engine where
-    fork is unavailable) with a per-tick sampler, and replays the
-    recorded telemetry through the spec's declared SLO rules.  The
-    schedule hash pins that the traffic itself is deterministic, so
-    cross-run shed/latency comparisons are apples to apples.
+    Runs the canned spec (shortened horizon in the tiny smoke) through
+    :func:`~repro.serving.run_scenario` on a two-shard fleet
+    (in-process engine where fork is unavailable).  The schedule hash
+    pins that the traffic itself is deterministic, so cross-run
+    shed/latency comparisons are apples to apples.
     """
     overrides = {"ticks": 8} if config.is_tiny else {}
     spec = canned_spec(name, **overrides)
-    plan = WorkloadGenerator(spec).schedule()
     use_fleet = "fork" in multiprocessing.get_all_start_methods()
-    # Enabled before the fork so workers inherit the flag and the
-    # latency histograms feed the sampler.
-    PERF.reset().enable()
-    try:
-        if use_fleet:
-            stack = Fleet(2, max_batch=16, max_queue=64, degrade_at=48)
-        else:
-            stack = SessionEngine(max_batch=16, max_queue=64,
-                                  degrade_at=48)
-        with stack:
-            sampler = TelemetrySampler(stack)
-            outcome = ReplayDriver(stack).run_plan(
-                plan, NearestRecommender(), sampler=sampler)
-    finally:
-        PERF.disable()
-    report = evaluate_recorded(list(spec.slo), sampler.shards,
-                               scenario=spec.name)
-    tickets = [ticket for per_session in outcome.tickets.values()
+    run = run_scenario(spec, 2 if use_fleet else 0)
+    tickets = [ticket for per_session in run.outcome.tickets.values()
                for ticket in per_session]
     shed = sum(ticket.status == "shed" for ticket in tickets)
     p99 = max((telemetry.aggregate("serving.step_latency_s", "p99",
                                    start=0.0, end=float(spec.ticks))
-               for telemetry in sampler.shards.values()),
+               for telemetry in run.shards.values()),
               default=float("nan"))
     return {
         "ticks": spec.ticks,
         "stack": "fleet-2" if use_fleet else "engine",
-        "schedule_hash": plan.schedule_hash(),
-        "events": len(plan.events),
-        "sessions": len(outcome.results),
+        "schedule_hash": run.plan.schedule_hash(),
+        "events": len(run.plan.events),
+        "sessions": len(run.outcome.results),
         "submitted": len(tickets),
         "shed_rate": shed / len(tickets) if tickets else 0.0,
         "latency_p99_s": float(p99),
         "slo": {
-            "ok": report.ok,
-            "breaches": len(report.breach_events),
+            "ok": run.report.ok,
+            "breaches": len(run.report.breach_events),
             "rules": list(spec.slo),
         },
     }
@@ -660,9 +653,11 @@ def main() -> dict:
           f"({slo['bundle_spans']} spans, {slo['bundle_events']} events, "
           f"loadable={slo['bundle_loadable']})")
     telemetry = record["telemetry"]
-    print(f"  telemetry overhead           "
+    print(f"  telemetry overhead (median)  "
           f"{telemetry['overhead_frac']:9.2%}  "
-          f"({telemetry['samples']} samples)")
+          f"(IQR {telemetry['overhead_iqr']:.2%} over "
+          f"{len(telemetry['pairs'])} pairs, "
+          f"{telemetry['samples']} samples/run)")
     fleet = record["fleet"]
     if fleet is not None:
         for shards, row in fleet["shards"].items():
@@ -700,8 +695,8 @@ def main() -> dict:
     if not config.is_tiny \
             and telemetry["overhead_frac"] > TELEMETRY_OVERHEAD_CEILING:
         raise SystemExit(
-            f"telemetry overhead {telemetry['overhead_frac']:.2%} above "
-            f"the {TELEMETRY_OVERHEAD_CEILING:.0%} ceiling")
+            f"median telemetry overhead {telemetry['overhead_frac']:.2%} "
+            f"above the {TELEMETRY_OVERHEAD_CEILING:.0%} ceiling")
     if not config.is_tiny and speedup < SPEEDUP_FLOOR:
         raise SystemExit(f"speedup {speedup:.2f}x below the "
                          f"{SPEEDUP_FLOOR}x floor")

@@ -16,8 +16,9 @@ docs/OBSERVABILITY.md):
   by :class:`~repro.training.RunManifest`.
 * :func:`compare_benchmarks` / :class:`GateReport` — the
   bench-regression gate behind ``python -m repro.obs gate``.
-* :class:`TelemetrySampler` / :class:`ShardTelemetry` — live per-shard
-  time series pulled from a serving fleet (``python -m repro.obs top``).
+* :class:`TelemetrySampler` / :class:`ShardTelemetry` — per-shard
+  time series pulled from a serving fleet once per driver tick
+  (``python -m repro.obs top``).
 * :class:`SloRule` / :class:`SloMonitor` — declarative windowed SLO
   thresholds with breach/recover events (``python -m repro.obs slo``).
 * :class:`FlightRecorder` — always-on bounded span/event rings dumping
@@ -45,11 +46,11 @@ from .instrumentation import (
     Histogram,
     Instrumentation,
     TimerStat,
+    format_report,
 )
 from .live import (
+    SERIES_CAPACITY,
     TELEMETRY_SCHEMA_VERSION,
-    HistogramSeries,
-    SamplePoint,
     ShardTelemetry,
     TelemetrySampler,
     TimeSeries,
@@ -64,6 +65,8 @@ from .perfetto import (
 )
 from .recorder import (
     INCIDENT_SCHEMA_VERSION,
+    RING_EVENTS,
+    RING_SPANS,
     FlightRecorder,
     default_incident_root,
     load_incident,
@@ -83,6 +86,7 @@ __all__ = [
     "Instrumentation",
     "TimerStat",
     "Histogram",
+    "format_report",
     "DEFAULT_LATENCY_BOUNDARIES",
     "DEFAULT_VALUE_BOUNDARIES",
     "DEFAULT_COUNT_BOUNDARIES",
@@ -103,14 +107,13 @@ __all__ = [
     "load_bench_timings",
     "DEFAULT_THRESHOLD",
     "DEFAULT_MIN_TIME",
-    "SamplePoint",
     "TimeSeries",
-    "HistogramSeries",
     "ShardTelemetry",
     "TelemetrySampler",
     "load_telemetry",
     "render_top",
     "TELEMETRY_SCHEMA_VERSION",
+    "SERIES_CAPACITY",
     "SloRule",
     "SloStatus",
     "SloMonitor",
@@ -121,4 +124,6 @@ __all__ = [
     "load_incident",
     "default_incident_root",
     "INCIDENT_SCHEMA_VERSION",
+    "RING_SPANS",
+    "RING_EVENTS",
 ]

@@ -7,7 +7,7 @@ against a committed baseline::
         --current /tmp/new.json [--threshold 0.25] [--report-only]
     python -m repro.obs trace trace.json
     python -m repro.obs metrics BENCH_eval_engine.json
-    python -m repro.obs top runs/telemetry_serving.json [--watch 1.0]
+    python -m repro.obs top runs/telemetry_serving.json
     python -m repro.obs slo --rules benchmarks/slo_rules.json \\
         runs/telemetry_serving.json [--report-only]
 
@@ -15,12 +15,11 @@ against a committed baseline::
 the threshold (``--report-only`` always exits zero, for informational
 CI jobs).  ``trace`` prints the aggregated span call tree of a Perfetto
 trace; ``metrics`` prints the timers/counters/histograms of a
-``PERF.report()`` document or a bench record.  ``top`` renders the
-per-shard live table of a telemetry document written by
-:class:`~repro.obs.TelemetrySampler` (``--watch`` re-reads and redraws,
-which makes a document being rewritten by ``sampler.start(path=...)`` a
-live fleet view); ``slo`` replays a recorded series through a rules
-file and exits nonzero if any rule breached at any timestamp.
+``PERF.report()`` document or of a bench record's ``instrumentation``
+section.  ``top`` renders the per-shard table of a telemetry document
+saved by :class:`~repro.obs.TelemetrySampler`; ``slo`` replays a
+recorded series through a rules file and exits nonzero if any rule
+breached at any timestamp.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .gate import DEFAULT_MIN_TIME, DEFAULT_THRESHOLD, compare_benchmarks
+from .instrumentation import format_report
 from .live import load_telemetry, render_top
 from .perfetto import load_chrome_trace, span_tree_report
 from .slo import evaluate_recorded, load_rules
@@ -57,46 +56,22 @@ def _cmd_trace(args) -> int:
 def _cmd_metrics(args) -> int:
     with open(args.metrics) as handle:
         document = json.load(handle)
-    if "instrumentation" in document:
-        document = document["instrumentation"]
-    timers = document.get("timers", {})
-    counters = document.get("counters", {})
-    histograms = document.get("histograms", {})
-    if not (timers or counters or histograms):
+    text = format_report(document.get("instrumentation", document))
+    if not text:
         print("no metrics found", file=sys.stderr)
         return 1
-    for name, stat in sorted(timers.items()):
-        print(f"{name:36s} {stat['count']:8d} calls "
-              f"{stat['total_s'] * 1000.0:12.2f} ms total "
-              f"{stat['mean_ms']:10.4f} ms/call")
-    for name, value in sorted(counters.items()):
-        print(f"{name:36s} {value:8d}")
-    for name, stat in sorted(histograms.items()):
-        print(f"{name:36s} {stat['count']:8d} obs      "
-              f"p50={stat['p50']:.4g} p90={stat['p90']:.4g} "
-              f"p99={stat['p99']:.4g}")
+    print(text)
     return 0
 
 
 def _cmd_top(args) -> int:
-    while True:
-        try:
-            shards = load_telemetry(args.series)
-        except FileNotFoundError:
-            print(f"no telemetry document at {args.series}",
-                  file=sys.stderr)
-            return 1
-        table = render_top(shards, window_s=args.window)
-        if args.watch:
-            # Home the cursor and clear so the redraw behaves like top(1).
-            sys.stdout.write("\x1b[H\x1b[2J")
-        print(table)
-        if not args.watch:
-            return 0
-        try:
-            time.sleep(args.watch)
-        except KeyboardInterrupt:
-            return 0
+    try:
+        shards = load_telemetry(args.series)
+    except FileNotFoundError:
+        print(f"no telemetry document at {args.series}", file=sys.stderr)
+        return 1
+    print(render_top(shards, window_s=args.window))
+    return 0
 
 
 def _cmd_slo(args) -> int:
@@ -149,15 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(run=_cmd_metrics)
 
     top = commands.add_parser(
-        "top", help="per-shard live table of a telemetry document")
+        "top", help="per-shard table of a telemetry document")
     top.add_argument("series", help="telemetry JSON written by "
                                     "TelemetrySampler.save")
     top.add_argument("--window", type=float, default=5.0,
                      help="trailing window in seconds for the rate and "
                           "latency columns (default %(default)s)")
-    top.add_argument("--watch", type=float, default=0.0, metavar="SECONDS",
-                     help="re-read and redraw every SECONDS "
-                          "(0 = render once and exit)")
     top.set_defaults(run=_cmd_top)
 
     slo = commands.add_parser(

@@ -73,20 +73,7 @@ class EventLog:
         """
         if not self.enabled:
             return None
-        record = {"schema": EVENT_SCHEMA_VERSION, "seq": self._seq,
-                  "t": time.time(), "type": kind}
-        record.update(fields)
-        self._seq += 1
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if self._handle is not None:
-            json.dump(record, self._handle, separators=(",", ":"))
-            self._handle.write("\n")
-            self._handle.flush()
-        else:
-            self.records.append(record)
-        for listener in self.listeners:
-            listener(record)
-        return record
+        return self._append(kind, time.time(), fields)
 
     def adopt(self, records, **extra) -> list[dict]:
         """Fold records emitted by *another* log into this one.
@@ -99,30 +86,31 @@ class EventLog:
         adopted record, tagging its origin.  Respects :attr:`enabled`
         like :meth:`emit`; returns the adopted records.
         """
-        adopted: list[dict] = []
         if not self.enabled:
-            return adopted
-        for record in records:
-            fields = {key: value for key, value in record.items()
-                      if key not in ("schema", "seq", "type", "t")}
-            fields.update(extra)
-            merged = {"schema": EVENT_SCHEMA_VERSION, "seq": self._seq,
-                      "t": record.get("t", time.time()),
-                      "type": record["type"]}
-            merged.update(fields)
-            self._seq += 1
-            self.counts[record["type"]] = \
-                self.counts.get(record["type"], 0) + 1
-            if self._handle is not None:
-                json.dump(merged, self._handle, separators=(",", ":"))
-                self._handle.write("\n")
-                self._handle.flush()
-            else:
-                self.records.append(merged)
-            for listener in self.listeners:
-                listener(merged)
-            adopted.append(merged)
-        return adopted
+            return []
+        return [self._append(record["type"], record.get("t", time.time()),
+                             {**{key: value for key, value in record.items()
+                                 if key not in ("schema", "seq", "type",
+                                                "t")},
+                              **extra})
+                for record in records]
+
+    def _append(self, kind: str, t: float, fields: dict) -> dict:
+        """Stamp, store and broadcast one record (the shared write path)."""
+        record = {"schema": EVENT_SCHEMA_VERSION, "seq": self._seq,
+                  "t": t, "type": kind}
+        record.update(fields)
+        self._seq += 1
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if self._handle is not None:
+            json.dump(record, self._handle, separators=(",", ":"))
+            self._handle.write("\n")
+            self._handle.flush()
+        else:
+            self.records.append(record)
+        for listener in self.listeners:
+            listener(record)
+        return record
 
     def summary(self) -> dict:
         """Path, total count and per-type counts (for run manifests)."""

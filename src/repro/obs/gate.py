@@ -8,12 +8,8 @@ timer that regressed more than a threshold::
     python -m repro.obs gate --baseline BENCH_eval_engine.json \
         --current /tmp/new.json --threshold 0.25
 
-Accepted file shapes (auto-detected):
-
-* a bench record with a ``timings_s`` section (the perf harness output);
-* a ``PERF.report()`` document with a ``timers`` section (``total_s``
-  per timer, also found under a bench record's ``instrumentation``);
-* a flat ``{name: seconds}`` mapping.
+Both files are bench records: the ``timings_s`` section (``{name:
+seconds}``) that every perf harness writes is what gets compared.
 
 Timers below ``min_time`` seconds in the baseline are skipped (pure
 noise), and timers present on only one side are reported but do not
@@ -103,10 +99,9 @@ class GateReport:
 
 
 def load_bench_timings(source) -> dict:
-    """Extract ``{timer name: seconds}`` from a benchmark file or dict.
+    """The ``timings_s`` section of a bench record, as floats.
 
-    ``source`` may be a path or an already-parsed document; see the
-    module docstring for the accepted shapes.
+    ``source`` may be a path or an already-parsed document.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as handle:
@@ -115,21 +110,10 @@ def load_bench_timings(source) -> dict:
         document = source
     if not isinstance(document, dict):
         raise ValueError("benchmark document must be a JSON object")
-    if "timings_s" in document:
-        return _finite_timings(document["timings_s"])
-    if "timers" in document:
-        return _finite_timings({name: stat["total_s"]
-                                for name, stat
-                                in document["timers"].items()})
-    if "instrumentation" in document:
-        return load_bench_timings(document["instrumentation"])
-    flat = {name: value for name, value in document.items()
-            if isinstance(value, (int, float))}
-    if not flat:
-        raise ValueError("no timings found: expected 'timings_s', "
-                         "'timers', 'instrumentation', or a flat "
-                         "name->seconds mapping")
-    return _finite_timings(flat)
+    if "timings_s" not in document:
+        raise ValueError("no timings found: a bench record carries a "
+                         "'timings_s' section")
+    return _finite_timings(document["timings_s"])
 
 
 def _finite_timings(timings: dict) -> dict:

@@ -30,7 +30,6 @@ allocation), so it can stay wired into hot loops permanently.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from .trace import TRACER, Tracer
 
 __all__ = ["TimerStat", "Histogram", "Instrumentation", "PERF",
-           "DEFAULT_LATENCY_BOUNDARIES", "DEFAULT_VALUE_BOUNDARIES",
+           "format_report", "DEFAULT_LATENCY_BOUNDARIES", "DEFAULT_VALUE_BOUNDARIES",
            "DEFAULT_COUNT_BOUNDARIES"]
 
 #: Latency bucket upper bounds in seconds: a 1-2-5 ladder from 10 µs to
@@ -456,21 +455,30 @@ class Instrumentation:
         return report
 
     def summary(self) -> str:
-        """Human-readable one-line-per-entry summary."""
-        lines = []
-        for name, stat in sorted(self.timers.items()):
-            lines.append(f"{name:32s} {stat.count:7d} calls "
-                         f"{stat.total * 1000.0:10.2f} ms total "
-                         f"{stat.mean * 1e6:9.1f} us/call")
-        for name, value in sorted(self.counters.items()):
-            lines.append(f"{name:32s} {value:7d}")
-        for name, histogram in sorted(self.histograms.items()):
-            summary = histogram.as_dict()
-            p50, p90, p99 = (summary["p50"], summary["p90"], summary["p99"])
-            if not math.isnan(p50):
-                lines.append(f"{name:32s} {histogram.count:7d} obs    "
-                             f"p50={p50:.4g} p90={p90:.4g} p99={p99:.4g}")
-        return "\n".join(lines)
+        """Human-readable one-line-per-entry summary of :meth:`report`."""
+        return format_report(self.report())
+
+
+def format_report(report: dict) -> str:
+    """Text rendering of a :meth:`Instrumentation.report` document.
+
+    One line per timer (calls, total and mean milliseconds), per counter
+    and per non-empty histogram (p50/p90/p99); the renderer behind both
+    :meth:`Instrumentation.summary` and ``python -m repro.obs metrics``.
+    """
+    lines = []
+    for name, stat in sorted(report.get("timers", {}).items()):
+        lines.append(f"{name:36s} {stat['count']:8d} calls "
+                     f"{stat['total_s'] * 1000.0:12.2f} ms total "
+                     f"{stat['mean_ms']:10.4f} ms/call")
+    for name, value in sorted(report.get("counters", {}).items()):
+        lines.append(f"{name:36s} {value:8d}")
+    for name, stat in sorted(report.get("histograms", {}).items()):
+        if stat["count"]:
+            lines.append(f"{name:36s} {stat['count']:8d} obs      "
+                         f"p50={stat['p50']:.4g} p90={stat['p90']:.4g} "
+                         f"p99={stat['p99']:.4g}")
+    return "\n".join(lines)
 
 
 #: Process-wide default registry, disabled until a caller enables it.

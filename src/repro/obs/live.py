@@ -6,25 +6,27 @@ go"; rebalancing, autoscaling and SLO monitoring instead need the
 *trajectory* of each shard's load while the fleet is serving.  This
 module provides that substrate:
 
-* :class:`TimeSeries` / :class:`HistogramSeries` — bounded ring buffers
-  of ``(timestamp, value)`` gauge points and per-interval histogram
-  deltas, with windowed aggregates (``mean``/``max``/``min``/``last``/
-  ``sum``/``p50``...``p99``) that return NaN on an empty window instead
-  of inventing data;
+* :class:`TimeSeries` — a bounded ring of ``(t, value)`` points whose
+  value is either a float gauge or a per-interval :class:`Histogram`
+  delta, with windowed aggregates (``mean``/``max``/``min``/``last``/
+  ``sum``/``count``/``p50``...``p99``) that return NaN on an empty
+  window instead of inventing data;
 * :class:`ShardTelemetry` — one shard's named series;
-* :class:`TelemetrySampler` — periodically pulls per-shard samples from
-  a :class:`~repro.serving.Fleet` (the ``sample`` transport command) or
-  a local :class:`~repro.serving.SessionEngine`, turns cumulative
-  :meth:`~repro.obs.Instrumentation.export_state` counters into
-  interval rates (shed/degrade fractions, steps/s) and histogram
-  deltas (step latency, batch size), and appends them to the rings.
+* :class:`TelemetrySampler` — pulls per-shard samples from a
+  :class:`~repro.serving.Fleet` (the ``sample`` transport command) or a
+  local :class:`~repro.serving.SessionEngine` once per driver tick,
+  turns cumulative :meth:`~repro.obs.Instrumentation.export_state`
+  counters into interval rates (shed/degrade fractions, steps/s) and
+  histogram deltas (step latency, batch size), and appends them to the
+  rings.
 
 Sampling is **pull-based and read-only**: the ``sample`` command never
-resets a worker's registry, so it composes with the fleet's end-of-run
-``obs`` fold (a registry reset between samples is detected and treated
-as a fresh baseline).  Series serialise to a schema-versioned JSON
-document (:meth:`TelemetrySampler.save`, :func:`load_telemetry`) that
-``python -m repro.obs top``/``slo`` and the SLO monitor consume.
+resets a worker's registry, so the fleet's end-of-run fold at
+:meth:`~repro.serving.Fleet.close` still sees every step (a counter
+that goes backwards is nonetheless treated as a fresh baseline).
+Series serialise to a schema-versioned JSON document
+(:meth:`TelemetrySampler.save`, :func:`load_telemetry`) that ``python
+-m repro.obs top``/``slo`` and the SLO monitor consume.
 """
 
 from __future__ import annotations
@@ -32,277 +34,172 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-import time
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .instrumentation import Histogram
 
-__all__ = ["SamplePoint", "TimeSeries", "HistogramSeries",
-           "ShardTelemetry", "TelemetrySampler", "load_telemetry",
-           "render_top", "TELEMETRY_SCHEMA_VERSION",
-           "TRACKED_HISTOGRAMS"]
+__all__ = ["TimeSeries", "ShardTelemetry", "TelemetrySampler",
+           "load_telemetry", "render_top", "TELEMETRY_SCHEMA_VERSION",
+           "TRACKED_HISTOGRAMS", "SERIES_CAPACITY"]
 
 #: Version stamped into saved telemetry documents; bump on layout breaks.
 TELEMETRY_SCHEMA_VERSION = 1
 
+#: Points each series retains; appending past it evicts the oldest, so
+#: a sampler can run for a whole serving run at constant memory.
+SERIES_CAPACITY = 512
+
 #: Cumulative PERF histograms turned into per-interval delta series.
 TRACKED_HISTOGRAMS = ("serving.step_latency_s", "serving.batch_size")
 
-#: Cumulative PERF counters behind the interval shed/degrade/throughput
-#: gauges (processed-side accounting, folded at pump time).
-_TRACKED_COUNTERS = ("serving.steps", "serving.steps_degraded",
-                     "serving.steps_shed")
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One gauge observation: a value at a sampler timestamp."""
-
-    t: float
-    value: float
-
 
 class TimeSeries:
-    """Bounded ring buffer of :class:`SamplePoint` gauge observations.
+    """Bounded ring of ``(t, value)`` points, oldest evicted first.
 
-    Appending past ``capacity`` evicts the oldest point, so a live
-    sampler can run indefinitely with constant memory.  Timestamps must
-    be fed monotonically (the sampler's clock guarantees it).
+    A value is a float gauge observation or the :class:`Histogram` of
+    observations made *during one sampling interval*.  Windowed
+    aggregates over histogram points merge the interval deltas back
+    together, so ``p99`` over the last 5 s is exact over whatever the
+    shard observed in those 5 s.  Timestamps must be fed monotonically.
     """
 
-    __slots__ = ("capacity", "_points")
+    __slots__ = ("points",)
 
-    def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._points: deque[SamplePoint] = deque(maxlen=capacity)
+    def __init__(self):
+        self.points: deque[tuple] = deque(maxlen=SERIES_CAPACITY)
 
-    def append(self, t: float, value: float) -> None:
-        """Record ``value`` at timestamp ``t`` (evicts the oldest)."""
-        self._points.append(SamplePoint(float(t), float(value)))
+    def append(self, t: float, value) -> None:
+        """Record ``value`` (a float or a Histogram) at timestamp ``t``."""
+        if not isinstance(value, Histogram):
+            value = float(value)
+        self.points.append((float(t), value))
 
     def __len__(self) -> int:
         """Number of retained points."""
-        return len(self._points)
+        return len(self.points)
 
     @property
-    def last(self) -> SamplePoint | None:
-        """The most recent point (``None`` while empty)."""
-        return self._points[-1] if self._points else None
+    def last(self) -> tuple | None:
+        """The most recent ``(t, value)`` point (``None`` while empty)."""
+        return self.points[-1] if self.points else None
 
     def window(self, start: float | None = None,
-               end: float | None = None) -> list[SamplePoint]:
+               end: float | None = None) -> list[tuple]:
         """Points with ``start <= t <= end`` (``None`` bounds are open).
 
         The ``end`` bound is what makes replaying a *recorded* series
         faithful: evaluating "as of" timestamp T must not see points
         sampled after T.
         """
-        return [point for point in self._points
-                if (start is None or point.t >= start)
-                and (end is None or point.t <= end)]
-
-    def values(self, start: float | None = None,
-               end: float | None = None) -> list[float]:
-        """The windowed values only (see :meth:`window`)."""
-        return [point.value for point in self.window(start, end)]
+        return [(t, value) for t, value in self.points
+                if (start is None or t >= start)
+                and (end is None or t <= end)]
 
     def aggregate(self, op: str, start: float | None = None,
                   end: float | None = None) -> float:
         """Windowed aggregate; NaN when the window holds no points.
 
-        ``op`` is ``mean``/``max``/``min``/``last``/``sum`` or a
-        percentile such as ``p99`` (linear interpolation over the
-        window's raw values).
+        ``op`` is ``mean``/``max``/``min``/``last``/``sum``/``count`` or
+        a percentile such as ``p99``.  Gauge percentiles interpolate
+        linearly over the window's raw values and ``count`` is the
+        number of points; over histogram points every aggregate reads
+        the merged histogram (``sum`` is the total of observations,
+        ``count`` their number) and ``last`` is NaN.
         """
-        values = self.values(start, end)
+        values = [value for _, value in self.window(start, end)]
         if not values:
             return float("nan")
-        if op == "mean":
-            return float(np.mean(values))
-        if op == "max":
-            return float(max(values))
-        if op == "min":
-            return float(min(values))
-        if op == "last":
-            return values[-1]
-        if op == "sum":
-            return float(np.sum(values))
-        if op.startswith("p") and op[1:].isdigit():
-            return float(np.percentile(values, int(op[1:])))
-        raise ValueError(f"unknown aggregate {op!r}")
+        percentile = int(op[1:]) if op.startswith("p") \
+            and op[1:].isdigit() else None
+        if isinstance(values[0], Histogram):
+            merged = Histogram(values[0].boundaries)
+            for delta in values:
+                merged.merge(delta)
+            if not merged.count:
+                return float("nan")
+            if percentile is not None:
+                return merged.quantile(percentile / 100.0)
+            reducers = {"mean": lambda: merged.mean,
+                        "max": lambda: merged.max,
+                        "min": lambda: merged.min,
+                        "sum": lambda: merged.total,
+                        "count": lambda: float(merged.count),
+                        "last": lambda: float("nan")}
+        else:
+            if percentile is not None:
+                return float(np.percentile(values, percentile))
+            reducers = {"mean": lambda: float(np.mean(values)),
+                        "max": lambda: float(max(values)),
+                        "min": lambda: float(min(values)),
+                        "sum": lambda: float(np.sum(values)),
+                        "count": lambda: float(len(values)),
+                        "last": lambda: values[-1]}
+        if op not in reducers:
+            raise ValueError(f"unknown aggregate {op!r}")
+        return reducers[op]()
 
     def state(self) -> dict:
         """JSON-able lossless view (inverse of :meth:`from_state`)."""
-        return {"capacity": self.capacity,
-                "points": [[point.t, point.value]
-                           for point in self._points]}
+        return {"capacity": SERIES_CAPACITY,
+                "points": [[t, value.state()
+                            if isinstance(value, Histogram) else value]
+                           for t, value in self.points]}
 
     @classmethod
     def from_state(cls, payload: dict) -> "TimeSeries":
         """Rebuild a series saved by :meth:`state`."""
-        series = cls(payload["capacity"])
+        series = cls()
         for t, value in payload["points"]:
-            series.append(t, value)
-        return series
-
-
-class HistogramSeries:
-    """Bounded ring of per-interval :class:`Histogram` deltas.
-
-    Each point is the histogram of observations made *during one
-    sampling interval* (bucket-count deltas of a cumulative registry
-    histogram).  Windowed quantiles merge the interval deltas back
-    together, so ``p99`` over the last 5 s is exact over whatever the
-    shard observed in those 5 s — no decaying approximations.
-    """
-
-    __slots__ = ("capacity", "_points")
-
-    def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._points: deque[tuple[float, Histogram]] = deque(
-            maxlen=capacity)
-
-    def append(self, t: float, delta: Histogram) -> None:
-        """Record the interval histogram ``delta`` at timestamp ``t``."""
-        self._points.append((float(t), delta))
-
-    def __len__(self) -> int:
-        """Number of retained interval deltas."""
-        return len(self._points)
-
-    @property
-    def last(self) -> tuple[float, Histogram] | None:
-        """The most recent ``(t, delta)`` pair (``None`` while empty)."""
-        return self._points[-1] if self._points else None
-
-    def window(self, start: float | None = None,
-               end: float | None = None) -> list[tuple[float, Histogram]]:
-        """``(t, delta)`` pairs with ``start <= t <= end``."""
-        return [(t, delta) for t, delta in self._points
-                if (start is None or t >= start)
-                and (end is None or t <= end)]
-
-    def window_histogram(self, start: float | None = None,
-                         end: float | None = None) -> Histogram | None:
-        """The merged histogram over the window (None when empty)."""
-        merged: Histogram | None = None
-        for t, delta in self.window(start, end):
-            if merged is None:
-                merged = Histogram.from_state(delta.state())
-            else:
-                merged.merge(delta)
-        return merged
-
-    def quantile(self, q: float, start: float | None = None,
-                 end: float | None = None) -> float:
-        """Windowed ``q``-quantile (``q`` in [0, 1]); NaN when empty."""
-        merged = self.window_histogram(start, end)
-        if merged is None or not merged.count:
-            return float("nan")
-        return merged.quantile(q)
-
-    def aggregate(self, op: str, start: float | None = None,
-                  end: float | None = None) -> float:
-        """Windowed aggregate over the merged histogram; NaN when empty.
-
-        ``op``: a percentile (``p50``...``p99``), ``mean``, ``max``,
-        ``min``, ``sum`` (total of observations) or ``count``.
-        """
-        merged = self.window_histogram(start, end)
-        if merged is None or not merged.count:
-            return float("nan")
-        if op.startswith("p") and op[1:].isdigit():
-            return merged.quantile(int(op[1:]) / 100.0)
-        if op == "mean":
-            return merged.mean
-        if op == "max":
-            return merged.max
-        if op == "min":
-            return merged.min
-        if op == "sum":
-            return merged.total
-        if op in ("count", "last"):
-            return float(merged.count) if op == "count" else float("nan")
-        raise ValueError(f"unknown aggregate {op!r}")
-
-    def state(self) -> dict:
-        """JSON-able lossless view (inverse of :meth:`from_state`)."""
-        return {"capacity": self.capacity,
-                "points": [[t, delta.state()]
-                           for t, delta in self._points]}
-
-    @classmethod
-    def from_state(cls, payload: dict) -> "HistogramSeries":
-        """Rebuild a series saved by :meth:`state`."""
-        series = cls(payload["capacity"])
-        for t, state in payload["points"]:
-            series.append(t, Histogram.from_state(state))
+            series.append(t, Histogram.from_state(value)
+                          if isinstance(value, dict) else value)
         return series
 
 
 class ShardTelemetry:
-    """One shard's named gauge and histogram series."""
+    """One shard's named series, gauges and histograms kept apart."""
 
-    def __init__(self, shard: int, capacity: int = 512):
+    def __init__(self, shard: int):
         self.shard = shard
-        self.capacity = capacity
         self.gauges: dict[str, TimeSeries] = {}
-        self.histograms: dict[str, HistogramSeries] = {}
+        self.histograms: dict[str, TimeSeries] = {}
 
-    def gauge(self, name: str) -> TimeSeries:
-        """The gauge series ``name`` (created on first use)."""
-        series = self.gauges.get(name)
-        if series is None:
-            series = self.gauges[name] = TimeSeries(self.capacity)
-        return series
-
-    def histogram(self, name: str) -> HistogramSeries:
-        """The histogram series ``name`` (created on first use)."""
-        series = self.histograms.get(name)
-        if series is None:
-            series = self.histograms[name] = HistogramSeries(self.capacity)
-        return series
+    def append(self, name: str, t: float, value) -> None:
+        """Append to series ``name`` (created on first use)."""
+        family = self.histograms if isinstance(value, Histogram) \
+            else self.gauges
+        if name not in family:
+            family[name] = TimeSeries()
+        family[name].append(t, value)
 
     def aggregate(self, metric: str, op: str, start: float | None = None,
                   end: float | None = None) -> float:
         """Windowed aggregate of ``metric``; NaN when unknown or empty.
 
-        Histogram metrics (e.g. ``serving.step_latency_s``) support the
-        quantile aggregates; gauge metrics aggregate their raw points.
         An unknown metric is *no data*, never an error — a rule against
         a not-yet-sampled metric simply reports ``no_data``.
         """
-        if metric in self.histograms:
-            return self.histograms[metric].aggregate(op, start, end)
-        if metric in self.gauges:
-            return self.gauges[metric].aggregate(op, start, end)
-        return float("nan")
+        series = self.histograms.get(metric, self.gauges.get(metric))
+        if series is None:
+            return float("nan")
+        return series.aggregate(op, start, end)
+
+    def timestamps(self) -> set[float]:
+        """Every timestamp held by any series."""
+        return {t for family in (self.gauges, self.histograms)
+                for series in family.values() for t, _ in series.points}
 
     def latest_timestamp(self) -> float:
         """The newest timestamp across all series (NaN while empty)."""
-        latest = float("nan")
-        for series in self.gauges.values():
-            if series.last is not None:
-                t = series.last.t
-                latest = t if math.isnan(latest) else max(latest, t)
-        for series in self.histograms.values():
-            if series.last is not None:
-                t = series.last[0]
-                latest = t if math.isnan(latest) else max(latest, t)
-        return latest
+        stamps = [series.last[0]
+                  for family in (self.gauges, self.histograms)
+                  for series in family.values() if series.points]
+        return max(stamps) if stamps else float("nan")
 
     def state(self) -> dict:
         """JSON-able lossless view (inverse of :meth:`from_state`)."""
-        return {"shard": self.shard, "capacity": self.capacity,
+        return {"shard": self.shard, "capacity": SERIES_CAPACITY,
                 "gauges": {name: series.state()
                            for name, series in sorted(self.gauges.items())},
                 "histograms": {name: series.state()
@@ -312,11 +209,11 @@ class ShardTelemetry:
     @classmethod
     def from_state(cls, payload: dict) -> "ShardTelemetry":
         """Rebuild shard telemetry saved by :meth:`state`."""
-        telemetry = cls(payload["shard"], payload.get("capacity", 512))
-        for name, state in payload.get("gauges", {}).items():
-            telemetry.gauges[name] = TimeSeries.from_state(state)
-        for name, state in payload.get("histograms", {}).items():
-            telemetry.histograms[name] = HistogramSeries.from_state(state)
+        telemetry = cls(payload["shard"])
+        for family in ("gauges", "histograms"):
+            for name, state in payload.get(family, {}).items():
+                getattr(telemetry, family)[name] = \
+                    TimeSeries.from_state(state)
         return telemetry
 
 
@@ -328,9 +225,9 @@ def _counter(state: dict, name: str) -> int:
 def _counter_delta(current: dict, previous: dict | None, name: str) -> int:
     """Interval delta of a cumulative counter, reset-aware.
 
-    A counter that went *backwards* means the worker's registry was
-    reset between samples (the fleet's ``obs`` fold does this); the
-    current value then becomes the whole interval's delta.
+    A counter that went *backwards* means the source's registry was
+    reset between samples (``PERF.reset()``); the current value then
+    becomes the whole interval's delta.
     """
     value = _counter(current, name)
     if previous is None:
@@ -376,7 +273,8 @@ class TelemetrySampler:
     returning per-shard sample dicts — a :class:`~repro.serving.Fleet`
     (which broadcasts the lightweight ``sample`` transport command) or
     a local :class:`~repro.serving.SessionEngine` (which reports itself
-    as shard 0).  Each :meth:`sample` appends:
+    as shard 0).  The driver calls :meth:`sample` once per tick, on the
+    thread that drives the stack; each call appends:
 
     * gauges ``serving.queue_depth`` and ``serving.open_sessions``
       (direct reads);
@@ -390,114 +288,55 @@ class TelemetrySampler:
     Rate/latency series need the source's :data:`~repro.obs.PERF`
     registry enabled (workers inherit the flag across the fleet fork);
     with it disabled the sampler still maintains the direct gauges.
-    ``clock`` defaults to :func:`time.monotonic`; tests and benches
-    pass explicit ``now=`` timestamps for determinism.
     """
 
-    def __init__(self, source, *, capacity: int = 512, clock=time.monotonic):
+    def __init__(self, source):
         self.source = source
-        self.capacity = capacity
-        self.clock = clock
         self.shards: dict[int, ShardTelemetry] = {}
         self.samples = 0
-        self.last_error: Exception | None = None
         self._previous: dict[int, dict] = {}
         self._previous_t: dict[int, float] = {}
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
-    # ------------------------------------------------------------------
-    def sample(self, now: float | None = None) -> list[dict]:
-        """Pull one sample from every shard; returns the raw samples."""
-        now = float(self.clock() if now is None else now)
+    def sample(self, now: float) -> list[dict]:
+        """Pull one sample from every shard at timestamp ``now``.
+
+        Returns the raw per-shard samples.
+        """
+        now = float(now)
         raw = self.source.telemetry_sample()
         for entry in raw:
             shard = int(entry["shard"])
             telemetry = self.shards.get(shard)
             if telemetry is None:
-                telemetry = self.shards[shard] = ShardTelemetry(
-                    shard, self.capacity)
-            telemetry.gauge("serving.queue_depth").append(
-                now, float(entry["queue_depth"]))
-            telemetry.gauge("serving.open_sessions").append(
-                now, float(entry["open_sessions"]))
+                telemetry = self.shards[shard] = ShardTelemetry(shard)
+            telemetry.append("serving.queue_depth", now,
+                             entry["queue_depth"])
+            telemetry.append("serving.open_sessions", now,
+                             entry["open_sessions"])
             perf = entry.get("perf") or {}
             previous = self._previous.get(shard)
-            steps = (_counter_delta(perf, previous, "serving.steps")
-                     + _counter_delta(perf, previous,
-                                      "serving.steps_degraded"))
+            degraded = _counter_delta(perf, previous,
+                                      "serving.steps_degraded")
+            steps = _counter_delta(perf, previous,
+                                   "serving.steps") + degraded
             shed = _counter_delta(perf, previous, "serving.steps_shed")
             consumed = steps + shed
             if consumed:
-                degraded = _counter_delta(perf, previous,
-                                          "serving.steps_degraded")
-                telemetry.gauge("serving.shed_rate").append(
-                    now, shed / consumed)
-                telemetry.gauge("serving.degrade_rate").append(
-                    now, degraded / consumed)
+                telemetry.append("serving.shed_rate", now, shed / consumed)
+                telemetry.append("serving.degrade_rate", now,
+                                 degraded / consumed)
                 elapsed = now - self._previous_t.get(shard, now)
                 if elapsed > 0.0:
-                    telemetry.gauge(
-                        "serving.throughput_steps_per_s").append(
-                        now, steps / elapsed)
+                    telemetry.append("serving.throughput_steps_per_s",
+                                     now, steps / elapsed)
             for name in TRACKED_HISTOGRAMS:
                 delta = _histogram_delta(perf, previous, name)
                 if delta is not None:
-                    telemetry.histogram(name).append(now, delta)
+                    telemetry.append(name, now, delta)
             self._previous[shard] = perf
             self._previous_t[shard] = now
         self.samples += 1
         return raw
-
-    # ------------------------------------------------------------------
-    # Background sampling
-    # ------------------------------------------------------------------
-    def start(self, interval_s: float = 1.0, *,
-              path=None) -> "TelemetrySampler":
-        """Sample on a daemon thread every ``interval_s`` seconds.
-
-        With ``path`` set, the full telemetry document is rewritten
-        after every sample, which is what makes ``python -m repro.obs
-        top <path> --watch`` a live view.  A failing pull (e.g. a
-        :class:`~repro.serving.ShardFailure` mid-sample) lands in
-        :attr:`last_error` and stops the thread instead of raising on a
-        thread nobody joins.
-        """
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.is_set():
-                try:
-                    self.sample()
-                    if path is not None:
-                        self.save(path)
-                except Exception as exc:      # noqa: BLE001 — recorded
-                    self.last_error = exc
-                    return
-                self._stop.wait(interval_s)
-
-        self._thread = threading.Thread(target=_loop, daemon=True,
-                                        name="telemetry-sampler")
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop and join the background sampling thread (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "TelemetrySampler":
-        """Context-manager entry; returns self."""
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: stops background sampling."""
-        self.stop()
 
     # ------------------------------------------------------------------
     # Persistence

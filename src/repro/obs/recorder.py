@@ -13,7 +13,7 @@ of the ring's spans, an ``events.jsonl`` of the ring's events, and a
 ``manifest.json`` naming the reason.  :func:`load_incident` reads a
 bundle back for assertions and tooling.
 
-:meth:`FlightRecorder.attach` can put the tracer into
+:meth:`FlightRecorder.attach` switches the tracer on in
 ``retain_spans=False`` mode, where finished spans go *only* to
 listeners: tracing stays on for the whole serving run at constant
 memory, and :meth:`FlightRecorder.detach` restores the tracer exactly
@@ -36,10 +36,14 @@ from pathlib import Path
 from .perfetto import load_chrome_trace, write_chrome_trace
 
 __all__ = ["FlightRecorder", "load_incident", "default_incident_root",
-           "INCIDENT_SCHEMA_VERSION"]
+           "INCIDENT_SCHEMA_VERSION", "RING_SPANS", "RING_EVENTS"]
 
 #: Version stamped into bundle manifests; bump on layout breaks.
 INCIDENT_SCHEMA_VERSION = 1
+
+#: Most recent spans / events a recorder keeps (oldest evicted first).
+RING_SPANS = 4096
+RING_EVENTS = 1024
 
 
 def default_incident_root() -> Path:
@@ -60,20 +64,17 @@ def _slug(reason: str) -> str:
 class FlightRecorder:
     """Bounded rings of recent spans/events with dump-on-incident.
 
-    ``capacity_spans``/``capacity_events`` bound memory; the rings keep
+    :data:`RING_SPANS`/:data:`RING_EVENTS` bound memory; the rings keep
     the *newest* records (oldest are evicted).  ``directory`` overrides
     :func:`default_incident_root` as the bundle parent.  Use it either
     by calling :meth:`record_span`/:meth:`record_event` directly, or —
     the normal path — via :meth:`attach`.
     """
 
-    def __init__(self, *, capacity_spans: int = 4096,
-                 capacity_events: int = 1024, directory=None,
-                 clock=time.time):
-        self.spans = deque(maxlen=capacity_spans)
-        self.events = deque(maxlen=capacity_events)
+    def __init__(self, *, directory=None):
+        self.spans = deque(maxlen=RING_SPANS)
+        self.events = deque(maxlen=RING_EVENTS)
         self.directory = None if directory is None else Path(directory)
-        self.clock = clock
         #: Paths of the bundles written so far, in dump order.
         self.dumps: list[Path] = []
         self._attached: list[tuple] = []
@@ -92,24 +93,20 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Attach / detach
     # ------------------------------------------------------------------
-    def attach(self, *, tracer=None, events=None,
-               enable_tracing: bool = True,
-               retain_spans: bool = False) -> "FlightRecorder":
+    def attach(self, *, tracer=None, events=None) -> "FlightRecorder":
         """Subscribe to a tracer and/or event log; returns self.
 
-        With ``enable_tracing`` the tracer is switched on so the ring
-        actually fills; with ``retain_spans=False`` (the default) the
-        tracer stops accumulating its own span list while attached —
-        always-on recording at constant memory.  :meth:`detach`
-        restores every touched flag to its pre-attach value.
+        The tracer is switched on so the ring actually fills, and stops
+        accumulating its own span list while attached — always-on
+        recording at constant memory.  :meth:`detach` restores every
+        touched flag to its pre-attach value.
         """
         if tracer is not None:
             self._attached.append(("tracer", tracer, tracer.enabled,
                                    tracer.retain_spans))
             tracer.listeners.append(self.record_span)
-            tracer.retain_spans = retain_spans
-            if enable_tracing:
-                tracer.enable()
+            tracer.retain_spans = False
+            tracer.enable()
         if events is not None:
             self._attached.append(("events", events, events.enabled, None))
             events.listeners.append(self.record_event)
@@ -165,7 +162,7 @@ class FlightRecorder:
         manifest = {"schema": INCIDENT_SCHEMA_VERSION,
                     "kind": "repro.incident",
                     "reason": reason,
-                    "t": float(self.clock()),
+                    "t": time.time(),
                     "spans": len(spans),
                     "events": len(events),
                     "extra": extra or {}}

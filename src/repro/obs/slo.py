@@ -301,12 +301,8 @@ def evaluate_recorded(rules, shards: dict[int, ShardTelemetry], *,
     rules = [SloRule.from_spec(rule) for rule in rules]
     events = EventLog(path=None, enabled=True)
     monitor = SloMonitor(rules, events=events)
-    timestamps: set[float] = set()
-    for telemetry in shards.values():
-        for series in telemetry.gauges.values():
-            timestamps.update(point.t for point in series.window())
-        for series in telemetry.histograms.values():
-            timestamps.update(t for t, _ in series.window())
+    timestamps = set().union(*(telemetry.timestamps()
+                               for telemetry in shards.values()))
     if start is not None:
         timestamps = {t for t in timestamps if t >= start}
     if end is not None:

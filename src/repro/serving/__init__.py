@@ -50,12 +50,14 @@ from .session import (
 from .transport import ChannelClosed, PipeChannel, channel_pair
 from .workload import (
     CANNED_SPECS,
+    ScenarioRun,
     WorkloadEvent,
     WorkloadGenerator,
     WorkloadPlan,
     WorkloadSpec,
     WorkloadSpecError,
     canned_spec,
+    run_scenario,
 )
 
 __all__ = [
@@ -89,4 +91,6 @@ __all__ = [
     "WorkloadPlan",
     "CANNED_SPECS",
     "canned_spec",
+    "ScenarioRun",
+    "run_scenario",
 ]

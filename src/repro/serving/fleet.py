@@ -6,11 +6,13 @@ worth must spread over processes.  :class:`Fleet` is that spread: it
 forks ``num_shards`` workers (each running its own engine, see
 :func:`~repro.serving.transport.shard_main`), places rooms on shards by
 **consistent hashing** over session ids, forwards ``submit``/``pump``
-over the length-prefixed pipe protocol, and folds every shard's
-PERF/EVENTS state back into the parent registry with the exact
-cross-process merge ``repro.obs`` already provides — once as aggregate
-totals, once shard-tagged (``shard0/serving.pump``) so skew stays
-visible.
+over the length-prefixed pipe protocol.  While serving, worker state
+is read through the read-only ``sample`` op
+(:meth:`Fleet.telemetry_sample`); :meth:`Fleet.close` folds every
+shard's final PERF/EVENTS state back into the parent registry with the
+exact cross-process merge ``repro.obs`` already provides — once as
+aggregate totals, once shard-tagged (``shard0/serving.pump``) so skew
+stays visible.
 
 Frames are pickled by value through the pipe: an ``(N, 2)`` float64
 position frame is 3.2 KB at N = 200, so there is nothing for a
@@ -155,7 +157,7 @@ class Fleet:
     events:
         Router-side event sink (default the global
         :data:`~repro.obs.EVENTS`); worker-side session events are
-        folded in shard-tagged by :meth:`collect_obs`.
+        folded in shard-tagged by :meth:`close`.
     recorder:
         Optional :class:`~repro.obs.FlightRecorder`: a detected shard
         death dumps an incident bundle capturing the recent span/event
@@ -338,11 +340,6 @@ class Fleet:
         """Pump until every shard's queues are empty."""
         return self.pump(max_batches=None)
 
-    def queue_depths(self) -> list[int]:
-        """Per-shard pending-step counts (dead shards report -1)."""
-        return [self._call(shard.index, "queue_depth") if shard.alive
-                else -1 for shard in self._shards]
-
     def result(self, session_id: str):
         """The session's :class:`EpisodeResult` so far (it stays open)."""
         return self._call(self._sessions[session_id], "result", session_id)
@@ -473,8 +470,10 @@ class Fleet:
         Broadcasts the lightweight ``sample`` command (queue depth, open
         sessions, cumulative :meth:`~repro.obs.Instrumentation.export_state`
         — never a reset) and gathers per-shard dicts in shard order, the
-        shape :class:`~repro.obs.TelemetrySampler` consumes.  Like
-        :meth:`pump`, the broadcast overlaps the workers' replies.
+        shape :class:`~repro.obs.TelemetrySampler` consumes; dead shards
+        are absent.  Like :meth:`pump`, the broadcast overlaps the
+        workers' replies.  Call it from the thread that drives the
+        fleet: the router reads each shard's pipe without a lock.
         """
         live = [shard.index for shard in self._shards if shard.alive]
         for index in live:
@@ -486,31 +485,16 @@ class Fleet:
                             "open_sessions": open_sessions, "perf": perf})
         return samples
 
-    def collect_obs(self) -> list[dict]:
-        """Drain every live shard's PERF/EVENTS into the parent.
-
-        Each worker's instrumentation state is merged into the global
-        :data:`~repro.obs.PERF` twice — unprefixed (exact aggregate
-        fold, the totals a single-process run would have produced) and
-        under ``shard<N>/`` (per-shard visibility) — and its session
-        events are adopted into the fleet's event log tagged with
-        ``shard=N``.  Returns the raw per-shard states for callers that
-        want their own reduction (the serving bench does).
-        """
-        states = []
-        for shard in self._shards:
-            if not shard.alive:
-                continue
-            state, records = self._call(shard.index, "obs")
-            PERF.merge_snapshot(state)
-            PERF.merge_snapshot(state, prefix=f"shard{shard.index}/")
-            self.events.adopt(records, shard=shard.index)
-            states.append({"shard": shard.index, "perf": state,
-                           "events": records})
-        return states
-
     def close(self) -> None:
-        """Shut every worker down cleanly, folding in its final obs."""
+        """Shut every worker down cleanly, folding in its final obs.
+
+        Each live worker's instrumentation state is merged into the
+        global :data:`~repro.obs.PERF` twice — unprefixed (exact
+        aggregate fold, the totals a single-process run would have
+        produced) and under ``shard<N>/`` (per-shard visibility) — and
+        its session events are adopted into the fleet's event log
+        tagged with ``shard=N``.
+        """
         if self._closed:
             return
         self._closed = True

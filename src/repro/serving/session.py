@@ -380,84 +380,6 @@ class RoomSession:
         self.problem = change.problem
         self.churn_count += 1
 
-    def retire_users(self, users) -> RosterChange:
-        """Drop ``users`` (current indices) from the live roster.
-
-        Builds the post-churn problem locally — the room shrinks to the
-        surviving users via :meth:`~repro.datasets.base.ConferenceRoom.
-        subset`, block/allow lists are remapped, the target re-indexed —
-        and applies it.  Returns the applied :class:`RosterChange` so
-        callers can log or forward it.
-        """
-        users = np.unique(np.asarray(users, dtype=np.int64))
-        if users.size and (users.min() < 0 or users.max()
-                           >= self.num_users):
-            raise IndexError("retired user out of range")
-        if self.problem.target in users:
-            raise ValueError("the target user cannot be retired")
-        kept = np.setdiff1d(np.arange(self.num_users), users)
-        position = {int(old): new for new, old in enumerate(kept)}
-        allowlist = self.problem.allowlist
-        change = RosterChange(
-            kind="leave",
-            problem=AfterProblem(
-                room=self.problem.room.subset(kept),
-                target=position[self.problem.target],
-                beta=self.problem.beta,
-                max_render=self.problem.max_render,
-                blocklist=[position[user] for user in self.problem.blocklist
-                           if user in position],
-                allowlist=None if allowlist is None
-                else [position[user] for user in allowlist
-                      if user in position]),
-            keep=kept)
-        self.apply_churn(change)
-        return change
-
-    def admit_users(self, problem: AfterProblem,
-                    keep: np.ndarray) -> RosterChange:
-        """Grow the roster to ``problem``, placing existing users.
-
-        ``keep`` maps every slot of the *new* roster to the user's
-        current index (``-1`` for each admitted newcomer); utilities
-        and trajectories for the newcomers come with ``problem`` — the
-        workload layer derives both from a shared universe room.
-        Returns the applied :class:`RosterChange`.
-        """
-        change = RosterChange(kind="join", problem=problem, keep=keep)
-        self.apply_churn(change)
-        return change
-
-    def handoff_users(self, users) -> RosterChange:
-        """Flip ``users`` between VR and MR devices mid-stream.
-
-        A device handoff keeps the roster but rebuilds the room with
-        the flipped ``interfaces_mr`` flags, which moves the affected
-        users across the forced-visibility partition (physically
-        present MR users can never be derendered) from the next frame
-        on.  Returns the applied :class:`RosterChange`.
-        """
-        users = np.unique(np.asarray(users, dtype=np.int64))
-        if users.size and (users.min() < 0 or users.max()
-                           >= self.num_users):
-            raise IndexError("handoff user out of range")
-        interfaces = self.problem.room.interfaces_mr.copy()
-        interfaces[users] = ~interfaces[users]
-        identity = np.arange(self.num_users)
-        change = RosterChange(
-            kind="handoff",
-            problem=AfterProblem(
-                room=self.problem.room.subset(identity,
-                                              interfaces_mr=interfaces),
-                target=self.problem.target,
-                beta=self.problem.beta,
-                max_render=self.problem.max_render,
-                blocklist=self.problem.blocklist,
-                allowlist=self.problem.allowlist),
-            keep=identity)
-        self.apply_churn(change)
-        return change
-
     @classmethod
     def seeded(cls, problem: AfterProblem, recommender: Recommender, *,
                session_id: str | None = None, fallback=None,

@@ -110,8 +110,8 @@ def _light_records(records) -> list[tuple]:
              float(record.latency_s)) for record in records]
 
 
-def shard_main(channel: PipeChannel, shard: int, engine_kwargs: dict,
-               events_factory=None) -> None:
+def shard_main(channel: PipeChannel, shard: int,
+               engine_kwargs: dict) -> None:
     """Run one shard: a :class:`SessionEngine` behind a command loop.
 
     Forked from the router, so the worker inherits the PERF registry's
@@ -119,14 +119,15 @@ def shard_main(channel: PipeChannel, shard: int, engine_kwargs: dict,
     shutdown covers exactly this shard's work, ready for the router's
     shard-tagged :meth:`~repro.obs.Instrumentation.merge_snapshot`.
 
-    Loop exit paths: an explicit ``shutdown`` command (replies with the
-    final obs state first) or the router vanishing (``ChannelClosed``).
+    Worker state leaves the shard two ways only: the read-only
+    ``sample`` op while serving, and the ``shutdown`` reply (the final
+    obs state) at the end.  The loop also exits when the router
+    vanishes (``ChannelClosed``).
     """
     from ..obs import EventLog
 
     PERF.reset()
-    events = events_factory() if events_factory is not None \
-        else EventLog(enabled=True)
+    events = EventLog(enabled=True)
     # Session ids are unique fleet-wide and records are re-tagged with
     # the shard on adoption, so the worker log needs no shard field.
     with SessionEngine(events=events, **engine_kwargs) as engine:
@@ -148,13 +149,10 @@ def shard_main(channel: PipeChannel, shard: int, engine_kwargs: dict,
                 elif op == "pump":
                     (max_batches,) = args
                     reply = _light_records(engine.pump(max_batches))
-                elif op == "queue_depth":
-                    reply = engine.queue_depth
                 elif op == "sample":
-                    # Lightweight read-only telemetry pull: unlike the
-                    # "obs" fold this never resets the registry, so a
-                    # sampler can run all through a serving run without
-                    # disturbing the end-of-run shard-tagged merge.
+                    # Read-only: never resets the registry, so sampling
+                    # all through a run leaves the end-of-run
+                    # shard-tagged merge exact.
                     reply = (engine.queue_depth, engine.open_sessions,
                              PERF.export_state())
                 elif op == "result":
@@ -179,10 +177,6 @@ def shard_main(channel: PipeChannel, shard: int, engine_kwargs: dict,
                     snapshot, pending = args
                     session = engine.adopt_session(snapshot, pending)
                     reply = session.session_id
-                elif op == "obs":
-                    reply = (PERF.export_state(), list(events.records))
-                    PERF.reset()
-                    events.records.clear()
                 elif op == "shutdown":
                     channel.send(("ok", (PERF.export_state(),
                                          list(events.records))))

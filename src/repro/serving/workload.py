@@ -44,7 +44,8 @@ from .session import RosterChange, SessionMerge, SessionSplit
 
 __all__ = ["WorkloadSpecError", "WorkloadSpec", "WorkloadEvent",
            "WorkloadPlan", "WorkloadGenerator", "CANNED_SPECS",
-           "canned_spec", "roster_change", "merge_spec", "split_spec"]
+           "canned_spec", "roster_change", "merge_spec", "split_spec",
+           "ScenarioRun", "run_scenario", "SCENARIO_BUDGETS"]
 
 
 class WorkloadSpecError(ValueError):
@@ -604,28 +605,78 @@ def canned_spec(name: str, **overrides) -> WorkloadSpec:
 
 
 # ----------------------------------------------------------------------
-# Scenario smoke CLI (used by CI's fleet-smoke job)
+# Scenario runner (the serving bench and the smoke CLI below)
 # ----------------------------------------------------------------------
+#: Admission budgets of the stack a scenario runs against (fleet-wide
+#: for a :class:`~repro.serving.Fleet`).
+SCENARIO_BUDGETS = {"max_batch": 16, "max_queue": 64, "degrade_at": 48}
+
+
+@dataclass
+class ScenarioRun:
+    """What :func:`run_scenario` produced for one spec.
+
+    ``outcome`` is the :class:`~repro.serving.PlanOutcome`, ``shards``
+    the per-tick telemetry (``{shard: ShardTelemetry}``) and ``report``
+    its :class:`~repro.obs.SloBatchReport` replay through the spec's
+    SLO rules.
+    """
+
+    plan: WorkloadPlan
+    outcome: object
+    shards: dict
+    report: object
+
+
+def run_scenario(spec: WorkloadSpec, fleet: int) -> ScenarioRun:
+    """Drive one spec end to end with per-tick telemetry and SLO replay.
+
+    Lowers ``spec`` to its plan, opens a ``fleet``-worker
+    :class:`~repro.serving.Fleet` (an in-process
+    :class:`~repro.serving.SessionEngine` at ``fleet=0``) under
+    :data:`SCENARIO_BUDGETS`, runs the plan through
+    :meth:`~repro.serving.ReplayDriver.run_plan` with a
+    :class:`~repro.obs.TelemetrySampler` sampled once per tick, and
+    replays the recorded series through the spec's SLO rules.
+    """
+    from ..models.baselines import NearestRecommender
+    from ..obs import PERF, TelemetrySampler, evaluate_recorded
+    from .engine import SessionEngine
+    from .fleet import Fleet
+    from .replay import ReplayDriver
+
+    plan = WorkloadGenerator(spec).schedule()
+    # Enabled before the fleet fork so workers inherit the flag and the
+    # latency/batch histograms feed the sampler's rate series.
+    PERF.reset().enable()
+    try:
+        stack = Fleet(fleet, **SCENARIO_BUDGETS) if fleet > 0 \
+            else SessionEngine(**SCENARIO_BUDGETS)
+        with stack:
+            sampler = TelemetrySampler(stack)
+            outcome = ReplayDriver(stack).run_plan(
+                plan, NearestRecommender(), sampler=sampler)
+    finally:
+        PERF.disable()
+    report = evaluate_recorded(list(spec.slo), sampler.shards,
+                               scenario=spec.name)
+    return ScenarioRun(plan=plan, outcome=outcome, shards=sampler.shards,
+                       report=report)
+
+
 def main(argv=None) -> int:
     """Run one canned scenario end to end and write a JSON artifact.
 
-    ``python -m repro.serving.workload --scenario flash_crowd`` lowers
-    the spec, drives the plan through a small :class:`Fleet` (or an
-    in-process engine with ``--fleet 0``), replays the recorded
-    telemetry through the spec's SLO rules, and writes a report
-    document.  The SLO verdict is
+    ``python -m repro.serving.workload --scenario flash_crowd`` runs the
+    spec through :func:`run_scenario` on a small
+    :class:`~repro.serving.Fleet` (or an in-process engine with
+    ``--fleet 0``) and writes a report document.  The SLO verdict is
     *report-only* unless ``--enforce`` is given: a smoke host's timing
     is not evidence about production latency, but the pipeline must
     run end to end.
     """
     import argparse
     import os
-
-    from ..models.baselines import NearestRecommender
-    from ..obs import PERF, TelemetrySampler, evaluate_recorded
-    from .engine import SessionEngine
-    from .fleet import Fleet
-    from .replay import ReplayDriver
 
     parser = argparse.ArgumentParser(
         description="run one workload scenario as a serving smoke test")
@@ -644,24 +695,10 @@ def main(argv=None) -> int:
 
     overrides = {} if args.ticks is None else {"ticks": args.ticks}
     spec = canned_spec(args.scenario, **overrides)
-    plan = WorkloadGenerator(spec).schedule()
     out_dir = args.out or os.environ.get("REPRO_RUN_DIR", "runs")
     os.makedirs(out_dir, exist_ok=True)
-
-    # Enabled before the fleet fork so workers inherit the flag and the
-    # latency/batch histograms feed the sampler's rate series.
-    PERF.reset().enable()
-    if args.fleet > 0:
-        stack = Fleet(args.fleet, max_batch=16, max_queue=64, degrade_at=48)
-    else:
-        stack = SessionEngine(max_batch=16, max_queue=64, degrade_at=48)
-    with stack:
-        sampler = TelemetrySampler(stack)
-        outcome = ReplayDriver(stack).run_plan(plan, NearestRecommender(),
-                                               sampler=sampler)
-    PERF.disable()
-    report = evaluate_recorded(list(spec.slo), sampler.shards,
-                               scenario=spec.name)
+    run = run_scenario(spec, args.fleet)
+    plan, outcome, report = run.plan, run.outcome, run.report
 
     document = {
         "scenario": spec.name,

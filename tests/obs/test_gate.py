@@ -86,24 +86,17 @@ class TestLoadBenchTimings:
     def test_timings_s_section(self):
         assert load_bench_timings(BASELINE)["batched"] == 0.10
 
-    def test_perf_report_timers_section(self):
-        document = {"timers": {"eval.episode": {"count": 4,
-                                                "total_s": 1.25,
-                                                "mean_ms": 312.5}}}
-        assert load_bench_timings(document) == {"eval.episode": 1.25}
-
-    def test_bench_record_instrumentation_section(self):
-        document = {"instrumentation": {
-            "timers": {"eval.episode": {"total_s": 2.0}}}}
-        assert load_bench_timings(document) == {"eval.episode": 2.0}
-
-    def test_flat_mapping(self):
-        assert load_bench_timings({"a": 1, "b": 2.5}) == {"a": 1.0,
-                                                          "b": 2.5}
-
     def test_no_timings_rejected(self):
-        with pytest.raises(ValueError, match="no timings"):
-            load_bench_timings({"notes": "hello"})
+        """Only the ``timings_s`` section is read: a ``PERF.report()``
+        document, a bare ``instrumentation`` section or a flat mapping
+        is not a bench record."""
+        for document in ({"notes": "hello"},
+                         {"timers": {"eval.episode": {"total_s": 1.25}}},
+                         {"instrumentation": {
+                             "timers": {"eval.episode": {"total_s": 2.0}}}},
+                         {"a": 1, "b": 2.5}):
+            with pytest.raises(ValueError, match="no timings"):
+                load_bench_timings(document)
         with pytest.raises(ValueError):
             load_bench_timings([1, 2, 3])
 
@@ -117,9 +110,6 @@ class TestLoadBenchTimings:
                                   "broken": float("nan"),
                                   "hung": float("inf")}}
         assert load_bench_timings(document) == {"batched": 0.10}
-        timers = {"timers": {"ok": {"total_s": 1.0},
-                             "bad": {"total_s": float("nan")}}}
-        assert load_bench_timings(timers) == {"ok": 1.0}
         # a section that is *all* non-finite reads as absent, not fatal
         assert load_bench_timings({"timings_s": {"x": float("nan")}}) == {}
 

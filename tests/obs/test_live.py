@@ -6,9 +6,9 @@ import math
 import pytest
 
 from repro.obs import (
+    SERIES_CAPACITY,
     TELEMETRY_SCHEMA_VERSION,
     Histogram,
-    HistogramSeries,
     ShardTelemetry,
     TelemetrySampler,
     TimeSeries,
@@ -47,21 +47,26 @@ class FakeSource:
 
 
 class TestTimeSeries:
+    """Float-gauge points."""
+
     def test_append_window_and_last(self):
-        series = TimeSeries(capacity=8)
+        series = TimeSeries()
         for t in range(5):
             series.append(float(t), float(t) * 10.0)
         assert len(series) == 5
-        assert series.last.value == 40.0
-        assert series.values(start=2.0) == [20.0, 30.0, 40.0]
-        assert series.values() == [0.0, 10.0, 20.0, 30.0, 40.0]
+        assert series.last == (4.0, 40.0)
+        assert [v for _, v in series.window(start=2.0)] == [20.0, 30.0,
+                                                             40.0]
+        assert [v for _, v in series.window(end=1.0)] == [0.0, 10.0]
 
     def test_ring_evicts_oldest(self):
-        series = TimeSeries(capacity=3)
-        for t in range(10):
+        series = TimeSeries()
+        for t in range(SERIES_CAPACITY + 3):
             series.append(float(t), float(t))
-        assert len(series) == 3
-        assert series.values() == [7.0, 8.0, 9.0]
+        assert len(series) == SERIES_CAPACITY
+        assert series.points[0] == (3.0, 3.0)
+        assert series.last == (SERIES_CAPACITY + 2.0,
+                               SERIES_CAPACITY + 2.0)
 
     def test_aggregates(self):
         series = TimeSeries()
@@ -73,10 +78,13 @@ class TestTimeSeries:
         assert series.aggregate("last") == 2.0
         assert series.aggregate("sum") == 10.0
         assert series.aggregate("p50") == pytest.approx(2.5)
+        assert series.aggregate("count") == 4.0
+        assert series.aggregate("count", start=2.0) == 2.0
 
     def test_empty_window_is_nan_not_zero(self):
         series = TimeSeries()
         assert math.isnan(series.aggregate("mean"))
+        assert math.isnan(series.aggregate("count"))
         series.append(1.0, 5.0)
         # window entirely in the future -> still no data
         assert math.isnan(series.aggregate("mean", start=2.0))
@@ -87,20 +95,20 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="aggregate"):
             series.aggregate("median")
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=0)
-
     def test_state_round_trip(self):
-        series = TimeSeries(capacity=4)
+        series = TimeSeries()
         series.append(1.0, 2.0)
         series.append(2.0, 3.0)
-        restored = TimeSeries.from_state(series.state())
-        assert restored.capacity == 4
-        assert restored.values() == [2.0, 3.0]
+        state = series.state()
+        assert state == {"capacity": SERIES_CAPACITY,
+                         "points": [[1.0, 2.0], [2.0, 3.0]]}
+        restored = TimeSeries.from_state(state)
+        assert list(restored.points) == [(1.0, 2.0), (2.0, 3.0)]
 
 
 class TestHistogramSeries:
+    """Per-interval :class:`Histogram` points in the same ring."""
+
     def _delta(self, values):
         histogram = Histogram(boundaries=(1.0, 2.0, 5.0))
         for value in values:
@@ -108,64 +116,69 @@ class TestHistogramSeries:
         return histogram
 
     def test_window_merge_matches_single_histogram(self):
-        series = HistogramSeries()
+        series = TimeSeries()
         series.append(0.0, self._delta([0.5, 1.5]))
         series.append(1.0, self._delta([3.0, 9.0]))
         combined = self._delta([0.5, 1.5, 3.0, 9.0])
-        merged = series.window_histogram()
-        assert merged.bucket_counts == combined.bucket_counts
-        assert merged.count == 4
         assert series.aggregate("count") == 4.0
         assert series.aggregate("sum") == pytest.approx(combined.total)
+        assert series.aggregate("mean") == pytest.approx(combined.mean)
+        assert series.aggregate("max") == 9.0
+        assert series.aggregate("min") == 0.5
+        for q in (50, 90, 99):
+            assert series.aggregate(f"p{q}") == combined.quantile(q / 100)
+        # "last" has no meaning over merged intervals: no data
+        assert math.isnan(series.aggregate("last"))
 
     def test_merge_does_not_mutate_interval_deltas(self):
-        series = HistogramSeries()
+        series = TimeSeries()
         first = self._delta([0.5])
         series.append(0.0, first)
         series.append(1.0, self._delta([3.0]))
-        series.window_histogram()
+        series.aggregate("p50")
         assert first.count == 1          # the ring's delta is untouched
 
     def test_windowed_quantile_over_recent_intervals_only(self):
-        series = HistogramSeries()
+        series = TimeSeries()
         series.append(0.0, self._delta([9.0, 9.0, 9.0]))
         series.append(5.0, self._delta([0.5, 0.5, 0.5]))
         # full window sees the old spike; trailing window does not
-        assert series.quantile(0.99) > 1.0
-        assert series.quantile(0.99, start=4.0) <= 1.0
+        assert series.aggregate("p99") > 1.0
         assert series.aggregate("p99", start=4.0) <= 1.0
 
     def test_empty_window_is_nan(self):
-        series = HistogramSeries()
-        assert math.isnan(series.quantile(0.5))
-        assert math.isnan(series.aggregate("mean"))
+        series = TimeSeries()
+        assert math.isnan(series.aggregate("p50"))
         series.append(1.0, self._delta([0.5]))
         assert math.isnan(series.aggregate("p99", start=2.0))
+        assert math.isnan(series.aggregate("mean", start=2.0))
 
     def test_ring_evicts_oldest(self):
-        series = HistogramSeries(capacity=2)
-        for t in range(4):
-            series.append(float(t), self._delta([float(t)]))
-        assert len(series) == 2
-        assert series.last[0] == 3.0
+        series = TimeSeries()
+        for t in range(SERIES_CAPACITY + 2):
+            series.append(float(t), self._delta([1.5]))
+        assert len(series) == SERIES_CAPACITY
+        assert series.points[0][0] == 2.0
+        assert series.aggregate("count") == float(SERIES_CAPACITY)
 
     def test_state_round_trip(self):
-        series = HistogramSeries(capacity=4)
+        series = TimeSeries()
         series.append(1.0, self._delta([0.5, 4.0]))
-        restored = HistogramSeries.from_state(series.state())
-        assert restored.capacity == 4
+        restored = TimeSeries.from_state(series.state())
         assert restored.aggregate("count") == 2.0
-        assert restored.window_histogram().bucket_counts \
-            == series.window_histogram().bucket_counts
+        assert restored.last[1].bucket_counts \
+            == series.last[1].bucket_counts
 
 
 class TestShardTelemetry:
     def test_aggregate_dispatch_and_unknown_metric(self):
         telemetry = ShardTelemetry(shard=0)
-        telemetry.gauge("serving.queue_depth").append(1.0, 7.0)
+        telemetry.append("serving.queue_depth", 1.0, 7.0)
         histogram = Histogram(boundaries=(1.0,))
         histogram.observe(0.5)
-        telemetry.histogram("serving.step_latency_s").append(2.0, histogram)
+        telemetry.append("serving.step_latency_s", 2.0, histogram)
+        assert list(telemetry.gauges) == ["serving.queue_depth"]
+        assert list(telemetry.histograms) == ["serving.step_latency_s"]
         assert telemetry.aggregate("serving.queue_depth", "last") == 7.0
         assert telemetry.aggregate("serving.step_latency_s", "p50") == 0.5
         assert math.isnan(telemetry.aggregate("no.such.metric", "mean"))
@@ -173,12 +186,13 @@ class TestShardTelemetry:
     def test_latest_timestamp_spans_all_series(self):
         telemetry = ShardTelemetry(shard=0)
         assert math.isnan(telemetry.latest_timestamp())
-        telemetry.gauge("a").append(1.0, 0.0)
+        telemetry.append("a", 1.0, 0.0)
         assert telemetry.latest_timestamp() == 1.0
         histogram = Histogram(boundaries=(1.0,))
         histogram.observe(0.5)
-        telemetry.histogram("b").append(3.0, histogram)
+        telemetry.append("b", 3.0, histogram)
         assert telemetry.latest_timestamp() == 3.0
+        assert telemetry.timestamps() == {1.0, 3.0}
 
 
 class TestTelemetrySampler:
@@ -213,7 +227,7 @@ class TestTelemetrySampler:
         sampler.sample(now=1.0)          # counters unchanged: idle
         telemetry = sampler.shards[0]
         # one point from the first sample, none from the idle interval
-        assert len(telemetry.gauge("serving.shed_rate")) == 1
+        assert len(telemetry.gauges["serving.shed_rate"]) == 1
         assert math.isnan(telemetry.aggregate("serving.shed_rate", "mean",
                                               start=0.5))
 
@@ -222,8 +236,8 @@ class TestTelemetrySampler:
         sampler = TelemetrySampler(source)
         source.set(counters={"serving.steps": 100})
         sampler.sample(now=0.0)
-        # worker registry reset (the fleet's "obs" fold does this), then
-        # 4 more steps: the counter went backwards
+        # registry reset (PERF.reset()), then 4 more steps: the counter
+        # went backwards
         source.set(counters={"serving.steps": 4})
         sampler.sample(now=1.0)
         telemetry = sampler.shards[0]
@@ -241,7 +255,7 @@ class TestTelemetrySampler:
                    histograms={"serving.step_latency_s":
                                _latency_state([0.005, 0.05, 0.05])})
         sampler.sample(now=1.0)
-        series = sampler.shards[0].histogram("serving.step_latency_s")
+        series = sampler.shards[0].histograms["serving.step_latency_s"]
         assert len(series) == 2
         t, delta = series.last
         assert t == 1.0
@@ -259,7 +273,7 @@ class TestTelemetrySampler:
                    histograms={"serving.step_latency_s":
                                _latency_state([0.005])})
         sampler.sample(now=1.0)
-        series = sampler.shards[0].histogram("serving.step_latency_s")
+        series = sampler.shards[0].histograms["serving.step_latency_s"]
         assert series.last[1].count == 1
 
     def test_empty_interval_histogram_not_appended(self):
@@ -270,7 +284,7 @@ class TestTelemetrySampler:
                                _latency_state([0.005])})
         sampler.sample(now=0.0)
         sampler.sample(now=1.0)          # unchanged: no new observations
-        series = sampler.shards[0].histogram("serving.step_latency_s")
+        series = sampler.shards[0].histograms["serving.step_latency_s"]
         assert len(series) == 1
 
     def test_save_load_round_trip(self, tmp_path):
@@ -290,31 +304,6 @@ class TestTelemetrySampler:
         with pytest.raises(ValueError, match="schema"):
             load_telemetry({"schema": TELEMETRY_SCHEMA_VERSION + 1,
                             "shards": {}})
-
-    def test_background_thread_samples_and_saves(self, tmp_path):
-        source = FakeSource().set(queue_depth=1, open_sessions=1)
-        path = tmp_path / "telemetry.json"
-        with TelemetrySampler(source) as sampler:
-            sampler.start(interval_s=0.01, path=path)
-            deadline = 200
-            while sampler.samples < 2 and deadline:
-                deadline -= 1
-                import time
-                time.sleep(0.01)
-        assert sampler.samples >= 2
-        assert sampler.last_error is None
-        assert load_telemetry(path)
-
-    def test_background_thread_records_pull_errors(self):
-        class Exploding:
-            def telemetry_sample(self):
-                raise RuntimeError("shard died")
-
-        sampler = TelemetrySampler(Exploding())
-        sampler.start(interval_s=0.01)
-        sampler._thread.join(timeout=5.0)
-        sampler.stop()
-        assert isinstance(sampler.last_error, RuntimeError)
 
 
 class TestRenderTop:

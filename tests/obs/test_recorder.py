@@ -1,11 +1,14 @@
 """Flight recorder: bounded rings, attach/detach, incident bundles."""
 
 import json
+import time
 
 import pytest
 
 from repro.obs import (
     INCIDENT_SCHEMA_VERSION,
+    RING_EVENTS,
+    RING_SPANS,
     EventLog,
     FlightRecorder,
     Tracer,
@@ -14,23 +17,25 @@ from repro.obs import (
 )
 
 
-def _recorder(tmp_path, **kwargs):
-    return FlightRecorder(directory=tmp_path / "incidents",
-                          clock=lambda: 123.0, **kwargs)
+def _recorder(tmp_path):
+    return FlightRecorder(directory=tmp_path / "incidents")
 
 
 class TestRings:
     def test_span_and_event_rings_are_bounded(self, tmp_path):
-        recorder = _recorder(tmp_path, capacity_spans=3, capacity_events=2)
+        recorder = _recorder(tmp_path)
         tracer = Tracer(enabled=False)
         recorder.attach(tracer=tracer)
-        for index in range(5):
+        for index in range(RING_SPANS + 2):
             with tracer.span(f"s{index}"):
                 pass
-        for index in range(4):
+        for index in range(RING_EVENTS + 3):
             recorder.record_event({"type": "e", "seq": index})
-        assert [span.name for span in recorder.spans] == ["s2", "s3", "s4"]
-        assert [event["seq"] for event in recorder.events] == [2, 3]
+        assert len(recorder.spans) == RING_SPANS
+        assert recorder.spans[0].name == "s2"
+        assert recorder.spans[-1].name == f"s{RING_SPANS + 1}"
+        assert len(recorder.events) == RING_EVENTS
+        assert recorder.events[0]["seq"] == 3
         recorder.detach()
 
     def test_event_listener_feeds_ring(self, tmp_path):
@@ -58,7 +63,7 @@ class TestAttachDetach:
     def test_attach_enables_tracing_without_retention(self, tmp_path):
         recorder = _recorder(tmp_path)
         tracer = Tracer(enabled=False)
-        recorder.attach(tracer=tracer, retain_spans=False)
+        recorder.attach(tracer=tracer)
         assert tracer.enabled and not tracer.retain_spans
         with tracer.span("work"):
             pass
@@ -72,8 +77,8 @@ class TestAttachDetach:
         recorder = _recorder(tmp_path)
         tracer = Tracer(enabled=True)
         events = EventLog()
-        recorder.attach(tracer=tracer, events=events,
-                        enable_tracing=False, retain_spans=True)
+        recorder.attach(tracer=tracer, events=events)
+        assert not tracer.retain_spans
         recorder.detach()
         assert tracer.enabled and tracer.retain_spans
         assert recorder.record_span not in tracer.listeners
@@ -101,6 +106,7 @@ class TestDump:
 
     def test_bundle_layout_and_manifest(self, tmp_path):
         recorder, _, _ = self._attached(tmp_path)
+        before = time.time()
         bundle = recorder.dump("slo-shed-rate-shard0",
                                extra={"rule": "shed-rate"})
         assert bundle.name == "slo-shed-rate-shard0-000"
@@ -110,7 +116,7 @@ class TestDump:
         assert manifest["schema"] == INCIDENT_SCHEMA_VERSION
         assert manifest["kind"] == "repro.incident"
         assert manifest["reason"] == "slo-shed-rate-shard0"
-        assert manifest["t"] == 123.0
+        assert before <= manifest["t"] <= time.time()
         assert manifest["spans"] == 2 and manifest["events"] == 1
         assert manifest["extra"] == {"rule": "shed-rate"}
         recorder.detach()

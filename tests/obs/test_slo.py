@@ -21,7 +21,7 @@ def _shard(shard=0):
 
 
 def _observe(telemetry, t, name="serving.shed_rate", value=0.0):
-    telemetry.gauge(name).append(t, value)
+    telemetry.append(name, t, value)
 
 
 class TestRuleParsing:
@@ -132,6 +132,19 @@ class TestMonitorTransitions:
         assert [r["type"] for r in events.records] == ["slo.breach"]
         assert "-" in statuses[0].describe()
 
+    def test_count_rule_on_a_gauge_counts_window_points(self):
+        """``count`` on a gauge is the number of points in the window,
+        not an ``unknown aggregate`` crash of the monitor."""
+        monitor, _ = self._monitor("count(serving.queue_depth) < 5 over 5s")
+        telemetry = _shard()
+        for t in range(8):
+            _observe(telemetry, float(t), "serving.queue_depth", 1.0)
+        statuses = monitor.evaluate({0: telemetry})
+        assert statuses[0].value == 6.0      # points at t = 2..7
+        assert statuses[0].state == "breach"
+        assert monitor.evaluate({0: telemetry}, now=20.0)[0].state \
+            == "no_data"
+
     def test_per_shard_state_is_independent(self):
         monitor, events = self._monitor()
         hot, cold = _shard(0), _shard(1)
@@ -182,7 +195,7 @@ class TestMonitorTransitions:
         slow = Histogram(boundaries=(0.001, 0.01, 0.1))
         for _ in range(10):
             slow.observe(0.09)
-        telemetry.histogram("serving.step_latency_s").append(1.0, slow)
+        telemetry.append("serving.step_latency_s", 1.0, slow)
         statuses = monitor.evaluate({0: telemetry})
         assert statuses[0].state == "breach"
         assert statuses[0].value > 0.025

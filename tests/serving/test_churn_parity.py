@@ -22,6 +22,7 @@ from repro.core import AfterProblem
 from repro.models.baselines import NearestRecommender
 from repro.models.poshgnn import POSHGNN
 from repro.serving import RoomSession, SessionEngine
+from repro.serving.workload import roster_change
 
 from .conftest import DATASETS, make_room
 
@@ -80,24 +81,30 @@ def churn_cases(draw):
 
 def _apply_case_churn(session, universe, roster, target_user, kind,
                       draw_index):
-    """Apply one churn op; returns (new roster, applied change)."""
+    """Apply one churn op; returns (new roster, applied change).
+
+    The change is lowered by
+    :func:`~repro.serving.workload.roster_change`, the path
+    :meth:`~repro.serving.ReplayDriver.run_plan` takes for a workload
+    plan's join, leave and handoff events.
+    """
+    interfaces = universe.interfaces_mr.copy()
     if kind == "leave":
         movable = [u for u in roster if u != target_user]
         victim = movable[draw_index % len(movable)]
-        change = session.retire_users(
-            [roster.index(victim)])
-        return [u for u in roster if u != victim], change
-    if kind == "join":
+        new_roster = [u for u in roster if u != victim]
+    elif kind == "join":
         free = sorted(set(range(universe.num_users)) - set(roster))
-        joiner = free[draw_index % len(free)]
-        new_roster = roster + [joiner]
-        keep = np.append(np.arange(len(roster)), -1)
-        problem = _subset_problem(universe, new_roster, target_user)
-        change = session.admit_users(problem, keep)
-        return new_roster, change
-    flipped = roster[draw_index % len(roster)]
-    change = session.handoff_users([roster.index(flipped)])
-    return list(roster), change
+        new_roster = roster + [free[draw_index % len(free)]]
+    else:
+        flipped = roster[draw_index % len(roster)]
+        interfaces[flipped] = ~interfaces[flipped]
+        new_roster = list(roster)
+    change = roster_change(universe, kind, roster, new_roster, target_user,
+                           name=universe.name, beta=0.5, max_render=4,
+                           interfaces=interfaces)
+    session.apply_churn(change)
+    return new_roster, change
 
 
 @settings(max_examples=25, deadline=None)

@@ -189,8 +189,9 @@ class TestShardFailure:
                     fleet.submit(sid_a, room_a.trajectory.positions[0])
             assert failure.value.shard == 0
             assert failure.value.sessions == [sid_a]
-            # The dead shard reports -1 depth; the survivor still serves.
-            assert fleet.queue_depths()[0] == -1
+            # The dead shard drops out of samples; the survivor serves.
+            assert [entry["shard"]
+                    for entry in fleet.telemetry_sample()] == [1]
             fleet.submit(sid_b, room_b.trajectory.positions[0])
             fleet.drain()
             fleet.close_session(sid_b)
@@ -198,7 +199,7 @@ class TestShardFailure:
 
 @fork_available
 class TestFleetObs:
-    def test_collect_obs_merges_aggregate_and_shard_tagged(self):
+    def test_close_merges_aggregate_and_shard_tagged(self):
         room = make_room("timik", 8, 3, seed=350)
         events = EventLog(enabled=True)
         PERF.reset().enable()
@@ -214,10 +215,8 @@ class TestFleetObs:
                         (sid, room.trajectory.positions[t])
                         for sid in sids)
                     fleet.drain()
-                states = fleet.collect_obs()
                 for sid in sids:
                     fleet.close_session(sid)
-            assert [s["shard"] for s in states] == [0, 1]
             # Aggregate fold: both shards pumped, so the unprefixed
             # timer holds the sum of the shard-tagged ones.
             pump = PERF.timers["serving.pump"]
@@ -240,8 +239,8 @@ class TestFleetObs:
 
     def test_telemetry_sample_is_read_only_and_per_shard(self):
         """The ``sample`` command reads every live shard without
-        resetting worker registries, so a later ``collect_obs`` fold is
-        still exact — sampling composes with end-of-run accounting."""
+        resetting worker registries, so the fold at ``close`` is still
+        exact — sampling composes with end-of-run accounting."""
         from repro.obs import TelemetrySampler
 
         room = make_room("timik", 8, 3, seed=352)
@@ -271,7 +270,6 @@ class TestFleetObs:
                         "serving.step_latency_s", "count") == 3.0
                     assert telemetry.aggregate("serving.shed_rate",
                                                "max") == 0.0
-                fleet.collect_obs()
                 for sid in sids:
                     fleet.close_session(sid)
             # Sampling consumed nothing: the fold still sees all steps.
