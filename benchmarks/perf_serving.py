@@ -41,8 +41,10 @@ Besides the timings the harness records:
 * a *telemetry overhead* row: the identical steady-state tick loop run
   with the :class:`~repro.obs.TelemetrySampler` off and on (one sample
   per tick) over :data:`TELEMETRY_PAIRS` interleaved pairs, gating the
-  median per-pair cost against :data:`TELEMETRY_OVERHEAD_CEILING` and
-  writing the sampled per-shard series as ``telemetry_serving.json``
+  median per-pair cost against :data:`TELEMETRY_OVERHEAD_CEILING`,
+  recording the directly timed ``sample()`` seconds and their share of
+  each sampler-on arm, and writing the sampled per-shard series as
+  ``telemetry_serving.json``
   for ``python -m repro.obs top``/``slo``.
 
 Artifacts land under ``REPRO_RUN_DIR`` (falling back to the repo's
@@ -272,11 +274,13 @@ def _telemetry_stream(workload, config: ServingBenchConfig,
     Both arms run the *identical* manual submit-then-pump loop (the
     only difference is PERF being enabled and one
     :meth:`~repro.obs.TelemetrySampler.sample` per tick), so the timing
-    ratio isolates exactly the cost of live telemetry.  Sample
-    timestamps are the tick index, keeping the recorded series
+    ratio isolates exactly the cost of live telemetry.  The ``sample()``
+    calls are also timed on their own and returned as ``sample_s``.
+    Sample timestamps are the tick index, keeping the recorded series
     deterministic.
     """
     sampler = None
+    sample_s = 0.0
     with SessionEngine(max_batch=config.num_rooms,
                        max_queue=config.num_rooms * config.ticks,
                        events=EventLog()) as engine:
@@ -294,12 +298,14 @@ def _telemetry_stream(workload, config: ServingBenchConfig,
                               room.trajectory.positions[tick])
             engine.pump()
             if sampler is not None:
+                sample_start = time.perf_counter()
                 sampler.sample(now=float(tick))
+                sample_s += time.perf_counter() - sample_start
         elapsed = time.perf_counter() - start
         if telemetry:
             PERF.disable()
         results = [session.result() for session in sessions]
-    return elapsed, results, sampler
+    return elapsed, results, sampler, sample_s
 
 
 def _telemetry_overhead(workload, config: ServingBenchConfig,
@@ -310,7 +316,10 @@ def _telemetry_overhead(workload, config: ServingBenchConfig,
     that runs first alternates between pairs, so drift in host speed
     hits both sides alike.  ``overhead_frac`` is the median per-pair
     on/off ratio minus one; every pair and the ratios' interquartile
-    range are recorded with it.  The sampled series of the last
+    range are recorded with it.  Each pair also records the seconds
+    spent inside ``sample()`` and their share of its sampler-on arm
+    (``sample_frac``, median in ``sample_frac_median``), which says how
+    much of the ratio is sampling at all.  The sampled series of the last
     telemetry run is written to ``telemetry_path`` for the ``obs top``
     / ``obs slo`` CLIs.
     """
@@ -320,21 +329,26 @@ def _telemetry_overhead(workload, config: ServingBenchConfig,
     for index in range(TELEMETRY_PAIRS):
         seconds = {}
         for telemetry in (index % 2 == 1, index % 2 == 0):
-            elapsed, results, run_sampler = _telemetry_stream(
+            elapsed, results, run_sampler, sample_s = _telemetry_stream(
                 workload, config, telemetry=telemetry)
             seconds[telemetry] = elapsed
             identical = identical \
                 and _episode_fingerprint(results) == fingerprint
             if telemetry:
                 sampler = run_sampler
+                seconds["sample"] = sample_s
         pairs.append({"baseline_s": seconds[False],
-                      "telemetry_s": seconds[True]})
+                      "telemetry_s": seconds[True],
+                      "sample_s": seconds["sample"],
+                      "sample_frac": seconds["sample"] / seconds[True]})
     ratios = [pair["telemetry_s"] / pair["baseline_s"] for pair in pairs]
     q25, median, q75 = np.percentile(ratios, [25, 50, 75])
     record = {
         "pairs": pairs,
         "overhead_frac": float(median) - 1.0,
         "overhead_iqr": float(q75 - q25),
+        "sample_frac_median": float(np.median(
+            [pair["sample_frac"] for pair in pairs])),
         "samples": sampler.samples,
         "metrics_identical": bool(identical),
     }
@@ -658,6 +672,8 @@ def main() -> dict:
           f"(IQR {telemetry['overhead_iqr']:.2%} over "
           f"{len(telemetry['pairs'])} pairs, "
           f"{telemetry['samples']} samples/run)")
+    print(f"  sample() share of sampler-on "
+          f"{telemetry['sample_frac_median']:9.2%}  (median over pairs)")
     fleet = record["fleet"]
     if fleet is not None:
         for shards, row in fleet["shards"].items():

@@ -95,7 +95,9 @@ class MIA:
             mask = np.ones(frame.num_users)
             mask[frame.target] = 0.0
 
-        self._previous_adjacency = adjacency
+        # A_{t-1} is carried as the graph's bool adjacency (N^2 bytes,
+        # an eighth of the float copy); _delta_and_degree casts it back.
+        self._previous_adjacency = frame.graph.adjacency
         return MIAOutput(features=features, delta=delta, mask=mask,
                          adjacency=adjacency,
                          propagation=_scale_by_mean_degree(adjacency, degree))

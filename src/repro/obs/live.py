@@ -13,14 +13,15 @@ module provides that substrate:
   window instead of inventing data;
 * :class:`ShardTelemetry` — one shard's named series;
 * :class:`TelemetrySampler` — pulls per-shard samples from a
-  :class:`~repro.serving.Fleet` (the ``sample`` transport command) or a
+  :class:`~repro.serving.Fleet` (every worker engine's own
+  ``telemetry_sample``, relabelled with its shard) or a
   local :class:`~repro.serving.SessionEngine` once per driver tick,
   turns cumulative :meth:`~repro.obs.Instrumentation.export_state`
   counters into interval rates (shed/degrade fractions, steps/s) and
   histogram deltas (step latency, batch size), and appends them to the
   rings.
 
-Sampling is **pull-based and read-only**: the ``sample`` command never
+Sampling is **pull-based and read-only**: ``telemetry_sample`` never
 resets a worker's registry, so the fleet's end-of-run fold at
 :meth:`~repro.serving.Fleet.close` still sees every step (a counter
 that goes backwards is nonetheless treated as a fresh baseline).
@@ -271,8 +272,8 @@ class TelemetrySampler:
 
     ``source`` is anything with a ``telemetry_sample()`` method
     returning per-shard sample dicts — a :class:`~repro.serving.Fleet`
-    (which broadcasts the lightweight ``sample`` transport command) or
-    a local :class:`~repro.serving.SessionEngine` (which reports itself
+    (which gathers every worker engine's own ``telemetry_sample``) or a
+    local :class:`~repro.serving.SessionEngine` (which reports itself
     as shard 0).  The driver calls :meth:`sample` once per tick, on the
     thread that drives the stack; each call appends:
 

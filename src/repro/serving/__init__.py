@@ -43,8 +43,6 @@ from .session import (
     SessionSnapshot,
     SessionSplit,
     SessionStep,
-    carried_seeds,
-    merge_change,
     stream_episode,
 )
 from .transport import ChannelClosed, PipeChannel, channel_pair
@@ -69,8 +67,6 @@ __all__ = [
     "SessionSplit",
     "GreedyMWISFallback",
     "stream_episode",
-    "carried_seeds",
-    "merge_change",
     "SessionEngine",
     "StepTicket",
     "PendingStep",

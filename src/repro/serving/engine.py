@@ -42,7 +42,7 @@ from ..geometry.batched import BatchedOcclusionConverter
 from ..geometry.visibility import resolve_rooms_visibility
 from ..obs import DEFAULT_COUNT_BOUNDARIES, EVENTS, PERF
 from .session import RoomSession, RosterChange, SessionMerge, \
-    SessionSnapshot, SessionSplit, SessionStep, carried_seeds, merge_change
+    SessionSnapshot, SessionSplit, SessionStep
 
 __all__ = ["StepTicket", "PendingStep", "SessionEngine", "floor_frame",
            "step_sessions"]
@@ -103,6 +103,24 @@ def floor_frame(session_id: str, positions, num_users: int) -> np.ndarray:
             f"{positions.shape}; expected ({num_users}, 2) floor or "
             f"({num_users}, 3) (x, 0, z) positions")
     return project_to_floor(positions)
+
+
+def _carried_seeds(session: RoomSession,
+                   keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project a session's carried display state along ``keep``.
+
+    Returns ``(visible_previous, rendered_previous)`` in the new index
+    space (``keep[i]`` = source index, ``-1`` = blank).  This is how a
+    merge or split hands the moving users' last on-screen state to the
+    receiving session instead of restarting them invisible.
+    """
+    keep = np.asarray(keep, dtype=np.int64)
+    mask = keep >= 0
+    visible = np.zeros(keep.shape[0], dtype=bool)
+    rendered = np.zeros(keep.shape[0], dtype=bool)
+    visible[mask] = session._visible_previous[keep[mask]]
+    rendered[mask] = session._rendered_previous[keep[mask]]
+    return visible, rendered
 
 
 def step_sessions(steps: list, converters: dict) -> list[SessionStep]:
@@ -244,13 +262,17 @@ class SessionEngine:
         """Number of currently registered sessions."""
         return len(self._sessions)
 
+    def __contains__(self, session_id: str) -> bool:
+        """Whether ``session_id`` is registered here."""
+        return session_id in self._sessions
+
     def telemetry_sample(self) -> list[dict]:
         """One live load sample, in the fleet's per-shard shape.
 
         A bare engine reports itself as shard 0 with its queue depth,
         open-session count and the cumulative :data:`~repro.obs.PERF`
-        state — exactly what :meth:`~repro.serving.Fleet.telemetry_sample`
-        gathers per worker — so a
+        state; a :class:`~repro.serving.Fleet` gathers this same entry
+        from every worker and relabels its shard, so a
         :class:`~repro.obs.TelemetrySampler` works identically over an
         in-process engine and a forked fleet.  Read-only: the registry
         is never reset.
@@ -263,6 +285,48 @@ class SessionEngine:
         """The live session registered under ``session_id``."""
         return self._sessions[session_id]
 
+    def _register(self, session: RoomSession, pending=()) -> RoomSession:
+        """Register a started session with its (possibly empty) backlog.
+
+        The one way a session enters the engine: :meth:`open_session`,
+        :meth:`adopt_session` and the spawn of :meth:`split_session`.
+        """
+        if session.session_id in self._sessions:
+            raise ValueError(
+                f"session {session.session_id!r} already open")
+        queue = deque(pending)
+        self._sessions[session.session_id] = session
+        self._queues[session.session_id] = queue
+        self._queued += sum(1 for p in queue if p.change is None)
+        width = session.num_users
+        for entry in queue:
+            if entry.change is not None:
+                width = entry.change.problem.num_users
+        self._tail_users[session.session_id] = width
+        return session
+
+    def _settled(self, session_id: str, action: str) -> RoomSession:
+        """The session, with its leading markers applied and no
+        runnable step left; ``action`` names the refused operation.
+
+        Leading shed and churn markers cost nothing to apply, so a
+        queue holding only markers — an overloaded room whose every
+        remaining submit was dropped, or a churn with no frames behind
+        it — does not block: the markers are applied here exactly as
+        :meth:`_collect_batch` would have, and only *runnable* steps
+        left behind raise.
+        """
+        if session_id not in self._sessions:
+            raise KeyError(f"unknown session {session_id!r}")
+        session = self._sessions[session_id]
+        queue = self._queues[session_id]
+        self._apply_leading_markers(session, queue)
+        if queue:
+            raise RuntimeError(
+                f"session {session_id!r} still has queued steps; "
+                f"pump() or drain() before {action}")
+        return session
+
     def open_session(self, problem: AfterProblem, recommender: Recommender,
                      *, session_id: str | None = None) -> RoomSession:
         """Register and start a room; the recommender is session-cloned.
@@ -271,14 +335,9 @@ class SessionEngine:
         every room — each session still steps an independent copy, so
         carried state never leaks across rooms.
         """
-        session = RoomSession(problem, recommender.session_clone(),
-                              session_id=session_id).begin()
-        if session.session_id in self._sessions:
-            raise ValueError(
-                f"session {session.session_id!r} already open")
-        self._sessions[session.session_id] = session
-        self._queues[session.session_id] = deque()
-        self._tail_users[session.session_id] = problem.num_users
+        session = self._register(RoomSession(
+            problem, recommender.session_clone(),
+            session_id=session_id).begin())
         self.events.emit("session.open", session_id=session.session_id,
                          room=problem.room.name, target=problem.target,
                          recommender=session.recommender.name,
@@ -288,23 +347,13 @@ class SessionEngine:
     def close_session(self, session_id: str) -> RoomSession:
         """Deregister a room (its queue must be drained) and return it.
 
-        Leading shed and churn markers cost nothing to apply, so a
-        queue holding only markers — an overloaded room whose every
-        remaining submit was dropped, or a churn with no frames behind
-        it — does not block the close: the markers are applied here
-        exactly as :meth:`_collect_batch` would have, and only
-        *runnable* steps left behind raise.
+        Its leading shed and churn markers are applied first; only
+        runnable steps left behind raise (see :meth:`_settled`).
         """
-        queue = self._queues.get(session_id)
-        if queue:
-            self._apply_leading_markers(self._sessions[session_id], queue)
-        if queue:
-            raise RuntimeError(
-                f"session {session_id!r} still has queued steps; "
-                f"pump() or drain() first")
-        session = self._sessions.pop(session_id)
-        self._queues.pop(session_id, None)
-        self._tail_users.pop(session_id, None)
+        session = self._settled(session_id, "closing")
+        del self._sessions[session_id]
+        del self._queues[session_id]
+        del self._tail_users[session_id]
         self.events.emit("session.close", session_id=session_id,
                          steps=len(session.steps),
                          shed=session.shed_count,
@@ -343,19 +392,7 @@ class SessionEngine:
         this engine's queue exactly as they left the source's (same
         order, same already-made shed/degrade flags).
         """
-        if snapshot.session_id in self._sessions:
-            raise ValueError(
-                f"session {snapshot.session_id!r} already open")
-        session = RoomSession.resume(snapshot)
-        self._sessions[session.session_id] = session
-        queue = deque(pending)
-        self._queues[session.session_id] = queue
-        self._queued += sum(1 for p in queue if p.change is None)
-        width = session.num_users
-        for entry in queue:
-            if entry.change is not None:
-                width = entry.change.problem.num_users
-        self._tail_users[session.session_id] = width
+        session = self._register(RoomSession.resume(snapshot), pending)
         self.events.emit("session.adopt", session_id=session.session_id,
                          step=session.next_step,
                          pending=len(self._queues[session.session_id]))
@@ -463,15 +500,14 @@ class SessionEngine:
         """
         if primary_id not in self._sessions:
             raise KeyError(f"unknown session {primary_id!r}")
-        if secondary_id not in self._sessions:
-            raise KeyError(f"unknown session {secondary_id!r}")
-        secondary = self._sessions[secondary_id]
-        self._apply_leading_markers(secondary, self._queues[secondary_id])
-        if self._queues[secondary_id]:
-            raise RuntimeError(
-                f"session {secondary_id!r} still has queued steps; "
-                f"pump() or drain() before merging")
-        change = merge_change(merge, secondary)
+        secondary = self._settled(secondary_id, "merging")
+        # The absorbed users arrive as joiners seeded with their last
+        # display state out of the secondary.
+        seed_visible, seed_rendered = _carried_seeds(
+            secondary, merge.keep_secondary)
+        change = RosterChange(kind="merge", problem=merge.problem,
+                              keep=merge.keep, seed_visible=seed_visible,
+                              seed_rendered=seed_rendered)
         closed = self.close_session(secondary_id)
         self.churn_session(primary_id, change)
         self.events.emit("session.merge", primary=primary_id,
@@ -490,27 +526,17 @@ class SessionEngine:
         new recommender, carried display seeds — under
         ``split.session_id``.  Returns the spawned session.
         """
-        if session_id not in self._sessions:
-            raise KeyError(f"unknown session {session_id!r}")
         if split.session_id in self._sessions:
             raise ValueError(
                 f"session {split.session_id!r} already open")
-        session = self._sessions[session_id]
-        self._apply_leading_markers(session, self._queues[session_id])
-        if self._queues[session_id]:
-            raise RuntimeError(
-                f"session {session_id!r} still has queued steps; "
-                f"pump() or drain() before splitting")
-        seed_visible, seed_rendered = carried_seeds(session, split.keep)
+        session = self._settled(session_id, "splitting")
+        seed_visible, seed_rendered = _carried_seeds(session, split.keep)
         t_next = session.next_step
         self.churn_session(session_id, split.retain)
-        spawn = RoomSession.seeded(
+        spawn = self._register(RoomSession.seeded(
             split.problem, recommender.session_clone(),
             session_id=split.session_id, t_next=t_next,
-            visible_previous=seed_visible, rendered_previous=seed_rendered)
-        self._sessions[spawn.session_id] = spawn
-        self._queues[spawn.session_id] = deque()
-        self._tail_users[spawn.session_id] = spawn.num_users
+            visible_previous=seed_visible, rendered_previous=seed_rendered))
         self.events.emit("session.split", session_id=session_id,
                          spawn=spawn.session_id,
                          num_users=split.problem.num_users,

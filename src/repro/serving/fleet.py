@@ -6,8 +6,11 @@ worth must spread over processes.  :class:`Fleet` is that spread: it
 forks ``num_shards`` workers (each running its own engine, see
 :func:`~repro.serving.transport.shard_main`), places rooms on shards by
 **consistent hashing** over session ids, forwards ``submit``/``pump``
-over the length-prefixed pipe protocol.  While serving, worker state
-is read through the read-only ``sample`` op
+over the length-prefixed pipe protocol.  The router only routes: every
+session operation is the worker engine's own method, called by name
+(``drain``, ``merge_sessions`` and the rest), so a room behaves the
+same on a fleet as on one engine.  While serving, worker state is read
+through the engine's read-only ``telemetry_sample``
 (:meth:`Fleet.telemetry_sample`); :meth:`Fleet.close` folds every
 shard's final PERF/EVENTS state back into the parent registry with the
 exact cross-process merge ``repro.obs`` already provides — once as
@@ -49,8 +52,7 @@ from ..core.problem import AfterProblem
 from ..core.recommender import Recommender
 from ..obs import EVENTS, PERF
 from .engine import StepTicket
-from .session import RoomSession, RosterChange, SessionMerge, \
-    SessionSplit, merge_change
+from .session import RosterChange, SessionMerge, SessionSplit
 from .transport import ChannelClosed, PipeChannel, channel_pair
 
 __all__ = ["HashRing", "Fleet", "FleetStep", "FleetError", "ShardFailure"]
@@ -225,9 +227,9 @@ class Fleet:
                 pass
         return failure
 
-    def _send(self, index: int, op: str, *args) -> None:
+    def _send(self, index: int, op: str, *args, **kwargs) -> None:
         try:
-            self._shard(index).channel.send((op, *args))
+            self._shard(index).channel.send((op, args, kwargs))
         except ChannelClosed:
             raise self._mark_dead(index) from None
 
@@ -240,17 +242,42 @@ class Fleet:
             raise value
         return value
 
-    def _call(self, index: int, op: str, *args):
-        self._send(index, op, *args)
+    def _call(self, index: int, op: str, *args, **kwargs):
+        self._send(index, op, *args, **kwargs)
         return self._recv(index)
+
+    def _broadcast(self, op: str, *args) -> list[tuple[int, object]]:
+        """Call ``op`` on every live shard; ``(shard, reply)`` pairs.
+
+        The command goes to all shards before any reply is read, so the
+        shards' work overlaps — this is where the multi-core scaling
+        comes from.  Replies are gathered in shard order, keeping the
+        merged result deterministic.  A failing shard does not cut the
+        gather short: every other shard's reply is still read, so no
+        stale reply is left in a pipe, and the first failure is raised
+        afterwards.
+        """
+        sent, failure = [], None
+        for shard in self._shards:
+            if shard.alive:
+                try:
+                    self._send(shard.index, op, *args)
+                    sent.append(shard.index)
+                except FleetError as exc:
+                    failure = failure or exc
+        replies = []
+        for index in sent:
+            try:
+                replies.append((index, self._recv(index)))
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return replies
 
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def place(self, session_id: str) -> int:
-        """The ring's shard for ``session_id`` (ignoring migrations)."""
-        return self._ring.place(session_id)
-
     def shard_of(self, session_id: str) -> int:
         """The shard currently serving an open session."""
         return self._sessions[session_id]
@@ -280,7 +307,8 @@ class Fleet:
             shard = self._ring.place(session_id)
         elif not 0 <= shard < self.num_shards:
             raise ValueError(f"no shard {shard}")
-        self._call(shard, "open", problem, recommender, session_id)
+        self._call(shard, "open_session", problem, recommender,
+                   session_id=session_id)
         self._sessions[session_id] = shard
         self.events.emit("fleet.open", session_id=session_id, shard=shard,
                          room=problem.room.name, target=problem.target)
@@ -319,30 +347,19 @@ class Fleet:
         return tickets
 
     def pump(self, max_batches: int | None = None) -> list[FleetStep]:
-        """Pump every live shard concurrently; merged step summaries.
-
-        The pump command is broadcast to all shards before any reply is
-        read, so the shards' batch loops overlap — this is where the
-        multi-core scaling comes from.  Results are gathered in shard
-        order, keeping the merged list deterministic.
-        """
-        live = [shard.index for shard in self._shards if shard.alive]
-        for index in live:
-            self._send(index, "pump", max_batches)
-        merged: list[FleetStep] = []
-        for index in live:
-            merged.extend(FleetStep(index, t, shed, degraded, latency)
-                          for t, shed, degraded, latency
-                          in self._recv(index))
-        return merged
+        """Pump every live shard concurrently; merged step summaries."""
+        return self._steps("pump", max_batches)
 
     def drain(self) -> list[FleetStep]:
-        """Pump until every shard's queues are empty."""
-        return self.pump(max_batches=None)
+        """Drain every live shard concurrently (the engine's
+        :meth:`~repro.serving.SessionEngine.drain`, trailing churn
+        markers included); merged step summaries."""
+        return self._steps("drain")
 
-    def result(self, session_id: str):
-        """The session's :class:`EpisodeResult` so far (it stays open)."""
-        return self._call(self._sessions[session_id], "result", session_id)
+    def _steps(self, op: str, *args) -> list[FleetStep]:
+        return [FleetStep(index, *record)
+                for index, records in self._broadcast(op, *args)
+                for record in records]
 
     def close_session(self, session_id: str):
         """Close a room on its shard; returns the final episode result."""
@@ -364,7 +381,7 @@ class Fleet:
         pre-churn shape.
         """
         shard = self._sessions[session_id]
-        self._call(shard, "churn", session_id, change)
+        self._call(shard, "churn_session", session_id, change)
         self.events.emit("fleet.churn", session_id=session_id,
                          shard=shard, churn=change.kind,
                          num_users=change.problem.num_users)
@@ -373,30 +390,23 @@ class Fleet:
                        merge: SessionMerge):
         """Fuse two rooms, possibly living on different shards.
 
-        The secondary is suspended off its shard (its queue must be
-        drained), its final episode result and carried display state
-        are recovered router-side from the snapshot, and the primary —
-        wherever it lives — grows by a merge churn whose seeds carry the
-        absorbed users' last on-screen state.  Returns the secondary's
-        final :class:`~repro.core.evaluation.EpisodeResult`.
+        If the secondary lives on another shard, :meth:`migrate` first
+        moves it onto the primary's, backlog and all; the primary's
+        engine then runs its own
+        :meth:`~repro.serving.SessionEngine.merge_sessions`.
+        Returns the secondary's final
+        :class:`~repro.core.evaluation.EpisodeResult`.
         """
         primary = self._sessions[primary_id]
-        secondary = self._sessions[secondary_id]
-        snapshot, pending = self._call(secondary, "suspend", secondary_id)
-        if pending:
-            self._call(secondary, "adopt", snapshot, pending)
-            raise RuntimeError(
-                f"session {secondary_id!r} still has queued steps; "
-                f"drain() before merging")
+        self.migrate(secondary_id, primary)
+        result = self._call(primary, "merge_sessions", primary_id,
+                            secondary_id, merge)
         del self._sessions[secondary_id]
-        ghost = RoomSession.resume(snapshot)
-        change = merge_change(merge, ghost)
-        self._call(primary, "churn", primary_id, change)
         self.events.emit("fleet.merge", primary=primary_id,
                          secondary=secondary_id, shard=primary,
                          num_users=merge.problem.num_users)
         PERF.count("serving.merges")
-        return ghost.result()
+        return result
 
     def split_session(self, session_id: str, split: SessionSplit,
                       recommender: Recommender, *,
@@ -418,7 +428,8 @@ class Fleet:
             shard = self._ring.place(split.session_id)
         elif not 0 <= shard < self.num_shards:
             raise ValueError(f"no shard {shard}")
-        self._call(source, "split", session_id, split, recommender)
+        self._call(source, "split_session", session_id, split,
+                   recommender)
         self._sessions[split.session_id] = source
         self.events.emit("fleet.split", session_id=session_id,
                          spawn=split.session_id, shard=source,
@@ -447,11 +458,12 @@ class Fleet:
         if shard == source:
             return source
         self._shard(shard)               # target must be alive up front
-        snapshot, pending = self._call(source, "suspend", session_id)
+        snapshot, pending = self._call(source, "suspend_session",
+                                       session_id)
         try:
-            self._call(shard, "adopt", snapshot, pending)
+            self._call(shard, "adopt_session", snapshot, pending)
         except Exception:
-            self._call(source, "adopt", snapshot, pending)
+            self._call(source, "adopt_session", snapshot, pending)
             raise
         self._sessions[session_id] = shard
         self.events.emit("fleet.migrate", session_id=session_id,
@@ -467,23 +479,18 @@ class Fleet:
     def telemetry_sample(self) -> list[dict]:
         """One read-only load sample from every live shard.
 
-        Broadcasts the lightweight ``sample`` command (queue depth, open
-        sessions, cumulative :meth:`~repro.obs.Instrumentation.export_state`
-        — never a reset) and gathers per-shard dicts in shard order, the
-        shape :class:`~repro.obs.TelemetrySampler` consumes; dead shards
-        are absent.  Like :meth:`pump`, the broadcast overlaps the
-        workers' replies.  Call it from the thread that drives the
-        fleet: the router reads each shard's pipe without a lock.
+        Each worker answers with its engine's own
+        :meth:`~repro.serving.SessionEngine.telemetry_sample` entry
+        (queue depth, open sessions, cumulative
+        :meth:`~repro.obs.Instrumentation.export_state` — never a
+        reset), relabelled with its shard, in shard order: the shape
+        :class:`~repro.obs.TelemetrySampler` consumes; dead shards are
+        absent.  Call it from the thread that drives the fleet: the
+        router reads each shard's pipe without a lock.
         """
-        live = [shard.index for shard in self._shards if shard.alive]
-        for index in live:
-            self._send(index, "sample")
-        samples = []
-        for index in live:
-            queue_depth, open_sessions, perf = self._recv(index)
-            samples.append({"shard": index, "queue_depth": queue_depth,
-                            "open_sessions": open_sessions, "perf": perf})
-        return samples
+        return [{**entry, "shard": index}
+                for index, entries in self._broadcast("telemetry_sample")
+                for entry in entries]
 
     def close(self) -> None:
         """Shut every worker down cleanly, folding in its final obs.

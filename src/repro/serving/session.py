@@ -41,8 +41,7 @@ from ..mwis import solve_mwis_greedy
 
 __all__ = ["SessionStep", "SessionSnapshot", "RoomSession",
            "RosterChange", "SessionMerge", "SessionSplit",
-           "GreedyMWISFallback", "stream_episode", "carried_seeds",
-           "merge_change"]
+           "GreedyMWISFallback", "stream_episode"]
 
 
 @dataclass
@@ -486,39 +485,6 @@ class RoomSession:
     def __repr__(self) -> str:
         return (f"RoomSession({self.session_id!r}, t={self._t_next}, "
                 f"shed={self.shed_count})")
-
-
-def carried_seeds(session: "RoomSession",
-                  keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project a session's carried display state along ``keep``.
-
-    Returns ``(visible_previous, rendered_previous)`` in the new index
-    space (``keep[i]`` = source index, ``-1`` = blank).  This is how a
-    merge or split hands the moving users' last on-screen state to the
-    receiving session instead of restarting them invisible.
-    """
-    keep = np.asarray(keep, dtype=np.int64)
-    mask = keep >= 0
-    visible = np.zeros(keep.shape[0], dtype=bool)
-    rendered = np.zeros(keep.shape[0], dtype=bool)
-    visible[mask] = session._visible_previous[keep[mask]]
-    rendered[mask] = session._rendered_previous[keep[mask]]
-    return visible, rendered
-
-
-def merge_change(merge: SessionMerge,
-                 secondary: "RoomSession") -> RosterChange:
-    """Lower a :class:`SessionMerge` into the primary's roster change.
-
-    The change grows the primary session to the merged roster; the
-    absorbed session's users arrive as joiners whose seeds carry their
-    last display state out of ``secondary``.
-    """
-    seed_visible, seed_rendered = carried_seeds(secondary,
-                                                merge.keep_secondary)
-    return RosterChange(kind="merge", problem=merge.problem,
-                        keep=merge.keep, seed_visible=seed_visible,
-                        seed_rendered=seed_rendered)
 
 
 def stream_episode(problem: AfterProblem,

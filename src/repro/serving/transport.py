@@ -7,7 +7,9 @@ so a message is exactly one framed blob, there is no interleaving to
 reason about, and a broken pipe surfaces as :class:`ChannelClosed`
 instead of a half-read.
 
-Messages are ``(op, *args)`` tuples; replies are ``("ok", value)`` or
+Messages are ``(op, args, kwargs)`` tuples whose ``op`` names a
+:class:`~repro.serving.SessionEngine` method from :data:`ENGINE_OPS`
+(or ``shutdown``); replies are ``("ok", value)`` or
 ``("error", exception)`` — worker-side exceptions are pickled back and
 re-raised in the router, so a bad ``submit`` fails the caller, not the
 shard.
@@ -21,8 +23,16 @@ import struct
 
 from ..obs import PERF
 from .engine import SessionEngine
+from .session import RoomSession, SessionStep
 
-__all__ = ["ChannelClosed", "PipeChannel", "channel_pair", "shard_main"]
+__all__ = ["ChannelClosed", "PipeChannel", "channel_pair", "shard_main",
+           "ENGINE_OPS"]
+
+#: The :class:`SessionEngine` methods a shard serves by name.
+ENGINE_OPS = frozenset({
+    "open_session", "submit", "pump", "drain", "telemetry_sample",
+    "close_session", "suspend_session", "adopt_session", "churn_session",
+    "merge_sessions", "split_session"})
 
 _HEADER = struct.Struct("<Q")
 
@@ -99,15 +109,24 @@ def channel_pair() -> tuple[PipeChannel, PipeChannel]:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _light_records(records) -> list[tuple]:
-    """Completed-step summaries small enough to ship every pump.
+def _reply(engine: SessionEngine, value):
+    """What an engine call's return value ships back as.
 
-    The full :class:`~repro.serving.session.SessionStep` records (with
-    their render masks) stay on the worker, attached to the session;
-    the router only needs identity, flags and latency.
+    A session still registered in the engine comes back as its id, a
+    session that left it (closed, merged away) as its final
+    :meth:`~repro.serving.RoomSession.result`, and completed
+    :class:`~repro.serving.session.SessionStep` records as
+    ``(t, shed, degraded, latency_s)`` tuples — the full records, with
+    their render masks, stay on the worker with their session.
     """
-    return [(record.t, bool(record.shed), bool(record.degraded),
-             float(record.latency_s)) for record in records]
+    if isinstance(value, RoomSession):
+        return value.session_id if value.session_id in engine \
+            else value.result()
+    if isinstance(value, list) and value \
+            and isinstance(value[0], SessionStep):
+        return [(record.t, bool(record.shed), bool(record.degraded),
+                 float(record.latency_s)) for record in value]
+    return value
 
 
 def shard_main(channel: PipeChannel, shard: int,
@@ -119,10 +138,12 @@ def shard_main(channel: PipeChannel, shard: int,
     shutdown covers exactly this shard's work, ready for the router's
     shard-tagged :meth:`~repro.obs.Instrumentation.merge_snapshot`.
 
-    Worker state leaves the shard two ways only: the read-only
-    ``sample`` op while serving, and the ``shutdown`` reply (the final
-    obs state) at the end.  The loop also exits when the router
-    vanishes (``ChannelClosed``).
+    Every op in :data:`ENGINE_OPS` calls the engine method of that name
+    and ships its value back through :func:`_reply`.  Worker state
+    leaves the shard two ways only: the read-only ``telemetry_sample``
+    op while serving, and the ``shutdown`` reply (the final obs state)
+    at the end.  The loop also exits when the router vanishes
+    (``ChannelClosed``).
     """
     from ..obs import EventLog
 
@@ -133,56 +154,20 @@ def shard_main(channel: PipeChannel, shard: int,
     with SessionEngine(events=events, **engine_kwargs) as engine:
         while True:
             try:
-                message = channel.recv()
+                op, args, kwargs = channel.recv()
             except ChannelClosed:
                 break
-            op, args = message[0], message[1:]
-            try:
-                if op == "open":
-                    problem, recommender, session_id = args
-                    session = engine.open_session(problem, recommender,
-                                                  session_id=session_id)
-                    reply = session.session_id
-                elif op == "submit":
-                    session_id, positions = args
-                    reply = engine.submit(session_id, positions)
-                elif op == "pump":
-                    (max_batches,) = args
-                    reply = _light_records(engine.pump(max_batches))
-                elif op == "sample":
-                    # Read-only: never resets the registry, so sampling
-                    # all through a run leaves the end-of-run
-                    # shard-tagged merge exact.
-                    reply = (engine.queue_depth, engine.open_sessions,
-                             PERF.export_state())
-                elif op == "result":
-                    (session_id,) = args
-                    reply = engine.session(session_id).result()
-                elif op == "close_session":
-                    (session_id,) = args
-                    reply = engine.close_session(session_id).result()
-                elif op == "suspend":
-                    (session_id,) = args
-                    reply = engine.suspend_session(session_id)
-                elif op == "churn":
-                    session_id, change = args
-                    engine.churn_session(session_id, change)
-                    reply = change.problem.num_users
-                elif op == "split":
-                    session_id, split, recommender = args
-                    session = engine.split_session(session_id, split,
-                                                   recommender)
-                    reply = session.session_id
-                elif op == "adopt":
-                    snapshot, pending = args
-                    session = engine.adopt_session(snapshot, pending)
-                    reply = session.session_id
-                elif op == "shutdown":
+            if op == "shutdown":
+                try:
                     channel.send(("ok", (PERF.export_state(),
                                          list(events.records))))
-                    break
-                else:
+                except ChannelClosed:
+                    pass
+                break
+            try:
+                if op not in ENGINE_OPS:
                     raise ValueError(f"unknown fleet op {op!r}")
+                reply = _reply(engine, getattr(engine, op)(*args, **kwargs))
             except Exception as exc:  # ship it back, keep the shard up
                 try:
                     channel.send(("error", exc))

@@ -605,7 +605,7 @@ def canned_spec(name: str, **overrides) -> WorkloadSpec:
 
 
 # ----------------------------------------------------------------------
-# Scenario runner (the serving bench and the smoke CLI below)
+# Scenario runner (the serving bench and ``python -m repro.serving``)
 # ----------------------------------------------------------------------
 #: Admission budgets of the stack a scenario runs against (fleet-wide
 #: for a :class:`~repro.serving.Fleet`).
@@ -662,64 +662,3 @@ def run_scenario(spec: WorkloadSpec, fleet: int) -> ScenarioRun:
                                scenario=spec.name)
     return ScenarioRun(plan=plan, outcome=outcome, shards=sampler.shards,
                        report=report)
-
-
-def main(argv=None) -> int:
-    """Run one canned scenario end to end and write a JSON artifact.
-
-    ``python -m repro.serving.workload --scenario flash_crowd`` runs the
-    spec through :func:`run_scenario` on a small
-    :class:`~repro.serving.Fleet` (or an in-process engine with
-    ``--fleet 0``) and writes a report document.  The SLO verdict is
-    *report-only* unless ``--enforce`` is given: a smoke host's timing
-    is not evidence about production latency, but the pipeline must
-    run end to end.
-    """
-    import argparse
-    import os
-
-    parser = argparse.ArgumentParser(
-        description="run one workload scenario as a serving smoke test")
-    parser.add_argument("--scenario", default="flash_crowd",
-                        choices=sorted(CANNED_SPECS))
-    parser.add_argument("--ticks", type=int, default=None,
-                        help="override the scenario's tick count")
-    parser.add_argument("--fleet", type=int, default=2,
-                        help="worker count (0 = in-process engine)")
-    parser.add_argument("--out", default=None,
-                        help="output dir (default $REPRO_RUN_DIR or "
-                             "runs/)")
-    parser.add_argument("--enforce", action="store_true",
-                        help="fail (exit 1) on SLO breaches")
-    args = parser.parse_args(argv)
-
-    overrides = {} if args.ticks is None else {"ticks": args.ticks}
-    spec = canned_spec(args.scenario, **overrides)
-    out_dir = args.out or os.environ.get("REPRO_RUN_DIR", "runs")
-    os.makedirs(out_dir, exist_ok=True)
-    run = run_scenario(spec, args.fleet)
-    plan, outcome, report = run.plan, run.outcome, run.report
-
-    document = {
-        "scenario": spec.name,
-        "fleet": args.fleet,
-        "schedule_hash": plan.schedule_hash(),
-        "events": len(plan.events),
-        "sessions": sorted(outcome.results),
-        "tickets": {sid: len(t) for sid, t in outcome.tickets.items()},
-        "slo": {"ok": report.ok,
-                "breaches": len(report.breach_events),
-                "rules": [rule for rule in spec.slo]},
-    }
-    path = os.path.join(out_dir, f"scenario_{spec.name}.json")
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"scenario {spec.name}: {len(plan.events)} events, "
-          f"{len(outcome.results)} sessions, "
-          f"slo_ok={report.ok} -> {path}")
-    print(report.render())
-    return 1 if args.enforce and not report.ok else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

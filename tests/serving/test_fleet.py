@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro.core import AfterProblem, evaluate_episode
@@ -88,7 +89,7 @@ class TestFleetServing:
                           NearestRecommender() if index % 2
                           else POSHGNN(seed=index)))
         with Fleet(2, max_batch=8, max_queue=64) as fleet:
-            spread = {fleet.place(f"{c[0].room.name}/t{c[0].target}")
+            spread = {HashRing(2).place(f"{c[0].room.name}/t{c[0].target}")
                       for c in cases}
             results = stream_through_fleet(fleet, cases)
         assert len(results) == 4
@@ -164,6 +165,10 @@ class TestFleetServing:
             with pytest.raises(KeyError):
                 fleet.submit("no-such-session",
                              room.trajectory.positions[0])
+            # Only engine methods are ops; anything else is named back.
+            with pytest.raises(ValueError,
+                               match="unknown fleet op 'result'"):
+                fleet._call(0, "result", sid)
             # The shard is still alive and serving.
             fleet.submit(sid, room.trajectory.positions[0])
             fleet.drain()
@@ -327,3 +332,105 @@ class TestFleetObs:
             assert "shard0/serving.pump" in PERF.timers
         finally:
             PERF.disable().reset()
+
+
+def _merge_after_queued_churn(stack, events=None):
+    """Open rooms ``a`` and ``b``, submit one frame each, churn ``b``
+    (its change queues behind the frame), ``drain()``, then merge ``b``
+    into ``a`` and serve the merged room one more frame.
+
+    Returns the merged secondary's result and the primary's closed
+    result; ``stack`` is an engine or a fleet.
+    """
+    from repro.serving.replay import _as_result
+    from repro.serving.workload import merge_spec, roster_change
+
+    universe = make_room("timik", 16, 3, seed=360)
+    positions = universe.trajectory.positions
+    kwargs = {"beta": 0.5, "max_render": 10,
+              "interfaces": universe.interfaces_mr.copy()}
+    a_users, b_users = list(range(8)), list(range(8, 16))
+
+    def problem(users, name):
+        roster = np.asarray(users, dtype=np.int64)
+        return AfterProblem(room=universe.subset(
+            roster, name=name,
+            interfaces_mr=kwargs["interfaces"][roster]),
+            target=0, beta=0.5, max_render=10)
+
+    placement = {} if events is None else {"a": {"shard": 0},
+                                           "b": {"shard": 1}}
+    for name, users in (("a", a_users), ("b", b_users)):
+        stack.open_session(problem(users, name), POSHGNN(seed=5),
+                           session_id=name, **placement.get(name, {}))
+    for name, users in (("a", a_users), ("b", b_users)):
+        stack.submit(name, positions[0][users])
+    b_left = b_users[:-1]
+    stack.churn_session("b", roster_change(
+        universe, "leave", b_users, b_left, b_users[0], name="b",
+        **kwargs))
+    stack.drain()
+    merged_users = a_users + b_left
+    merged = _as_result(stack.merge_sessions("a", "b", merge_spec(
+        universe, a_users, b_left, merged_users, a_users[0], name="a",
+        **kwargs)))
+    stack.submit("a", positions[1][merged_users])
+    stack.drain()
+    return merged, _as_result(stack.close_session("a"))
+
+
+@fork_available
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_merge_after_drained_churn_matches_engine(num_shards):
+    """A churn marker left behind the last frame is applied by
+    ``drain()`` on every shard, so a fleet merges exactly where the
+    engine does; a cross-shard merge first co-locates the secondary
+    with one live migration."""
+    from repro.serving import SessionEngine
+
+    with SessionEngine() as engine:
+        expected = _merge_after_queued_churn(engine)
+    events = EventLog(enabled=True)
+    with Fleet(num_shards, events=events) as fleet:
+        actual = _merge_after_queued_churn(
+            fleet, events if num_shards == 2 else None)
+        assert fleet.session_ids == []
+    for reference, result in zip(expected, actual):
+        assert_episodes_identical(reference, result)
+        assert reference.recommendations.tobytes() \
+            == result.recommendations.tobytes()
+        assert reference.per_step_after.tobytes() \
+            == result.per_step_after.tobytes()
+    migrations = [record for record in events.records
+                  if record["type"] == "fleet.migrate"]
+    assert len(migrations) == (num_shards - 1)
+    if migrations:
+        assert (migrations[0]["session_id"], migrations[0]["source"],
+                migrations[0]["target"]) == ("b", 1, 0)
+
+
+@fork_available
+def test_broadcast_reads_every_live_reply_before_raising():
+    """A pump that meets a dead shard raises ``ShardFailure`` only
+    after reading the survivors' replies, so the next call to a
+    survivor gets its own reply, not a stale pump result."""
+    room_a = make_room("timik", 8, 3, seed=370)
+    room_b = make_room("smm", 8, 3, seed=371)
+    with Fleet(2, max_batch=4, max_queue=64) as fleet:
+        sid_a = fleet.open_session(
+            AfterProblem(room=room_a, target=0, beta=0.5),
+            NearestRecommender(), shard=0)
+        sid_b = fleet.open_session(
+            AfterProblem(room=room_b, target=0, beta=0.5),
+            NearestRecommender(), shard=1)
+        fleet.submit(sid_b, room_b.trajectory.positions[0])
+        os.kill(fleet._shards[0].process.pid, signal.SIGKILL)
+        fleet._shards[0].process.join(timeout=5.0)
+        with pytest.raises(ShardFailure) as failure:
+            fleet.pump()
+        assert failure.value.sessions == [sid_a]
+        ticket = fleet.submit(sid_b, room_b.trajectory.positions[1])
+        assert (ticket.session_id, ticket.t, ticket.status) \
+            == (sid_b, 1, "queued")
+        assert len(fleet.drain()) == 1
+        fleet.close_session(sid_b)

@@ -43,7 +43,7 @@ def test_public_api_documented(module_name):
     "repro.core", "repro.models", "repro.geometry", "repro.datasets",
     "repro.nn", "repro.nn.tape", "repro.mwis", "repro.crowd",
     "repro.social", "repro.study",
-    "repro.bench", "repro.viz", "repro.training", "repro.training.engine",
+    "repro.bench", "repro.training", "repro.training.engine",
     "repro.obs",
     "repro.serving", "repro.serving.session", "repro.serving.engine",
     "repro.serving.replay", "repro.serving.workload",
